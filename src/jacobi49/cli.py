@@ -6,8 +6,8 @@ Subcommands:
   scan      a prime range, with a worker pool and a JSON or CSV report
   selftest  the startup algebra checks
 
-Exit codes: 0 all checks passed, 1 a mathematical comparison failed,
-2 invalid input or unusable output path.
+Exit codes: 0 all checks passed, 1 a mathematical comparison failed or a
+certificate carries a discrepancy, 2 invalid input or unusable output path.
 
 Reports are deterministic for a fixed configuration independent of the
 worker count; the only field that varies between runs is runtime_seconds.
@@ -57,7 +57,7 @@ def cmd_classify(args) -> int:
     cert = classify_prime(args.prime, gamma=args.generator)
     json.dump(cert.to_json(), sys.stdout, indent=2)
     sys.stdout.write("\n")
-    return EXIT_OK
+    return EXIT_MISMATCH if cert.discrepancies else EXIT_OK
 
 
 def _scan_one(task) -> list[dict]:
@@ -154,11 +154,12 @@ def cmd_scan(args) -> int:
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    mismatch = report["summary"]["mismatches"] > 0
-    print(f"scanned {len(primes)} primes, "
-          f"{report['summary']['mismatches']} mismatches, "
+    summary = report["summary"]
+    print(f"scanned {len(primes)} primes, {summary['mismatches']} mismatches, "
+          f"{len(summary['discrepancy_flags'])} discrepancy flags, "
           f"report written to {args.output}")
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+    bad = summary["mismatches"] > 0 or summary["discrepancy_flags"]
+    return EXIT_MISMATCH if bad else EXIT_OK
 
 
 def cmd_selftest(_args) -> int:

@@ -24,12 +24,3 @@ def bundle():
         return _BUNDLES[key]
 
     return get
-
-
-def sieve_primes(limit: int) -> list[int]:
-    marks = bytearray([1]) * (limit + 1)
-    marks[0:2] = b"\x00\x00"
-    for q in range(2, int(limit**0.5) + 1):
-        if marks[q]:
-            marks[q * q :: q] = b"\x00" * len(marks[q * q :: q])
-    return [n for n in range(2, limit + 1) if marks[n]]

@@ -19,9 +19,9 @@ import time
 
 import pytest
 
-from conftest import sieve_primes
 from jacobi49.artiad import (artiad_conditions, classify_via_cubic, classify_via_x,
                              ind7_mod49_relation, ind7_muskat, simplified_residue)
+from jacobi49.cli import primes_in_range
 from jacobi49.congruence import coeffs_by_definition, s_direct, s_lemma
 from jacobi49.cyclotomic_ring import residue8
 from jacobi49.cyclotomy import (cyc_from_jacobi, cyclotomic_numbers, jacobi_from_cyc,
@@ -31,9 +31,9 @@ from jacobi49.prime_field import find_generator, index_of, is_primitive_root
 from jacobi49.selfcheck import run_selfchecks
 from jacobi49.verify import prepare_prime, verify_prime
 
-P49_20000 = [p for p in sieve_primes(20000) if p % 49 == 1]
+P49_20000 = primes_in_range(2, 20000, 49)
 P49_5000 = [p for p in P49_20000 if p < 5000]
-P14_10000 = [p for p in sieve_primes(10000) if p % 14 == 1]
+P14_10000 = primes_in_range(2, 10000, 14)
 
 MINUS_ONE = residue8(6, 0, 0, 0, 0, 0, 0, 0)
 
@@ -96,15 +96,15 @@ def test_criterion_1_main_congruence(verified):
 def test_criterion_2_elementary_identity_suite():
     ok = True
     for p in (29, 43, 71, 113, 127):
-        fails = identity_suite(prepare_prime(p, order49=False).ctx, 7)
+        fails = identity_suite(prepare_prime(p, order49=False).cyc7)
         if fails:
             ok = False
     import random
     for p in (197, 491):
-        ctx = prepare_prime(p).ctx
+        cyc49 = prepare_prime(p).cyc49
         rng = random.Random(p)
         allp = [(i, j) for i in range(49) for j in range(49)]
-        fails = identity_suite(ctx, 49, pairs=allp, abs_pairs=rng.sample(allp, 50))
+        fails = identity_suite(cyc49, pairs=allp, abs_pairs=rng.sample(allp, 50))
         if fails:
             ok = False
     report(2, ok, "orders 7 (5 primes, all pairs) and 49 (2 primes, all pairs, "
@@ -221,7 +221,7 @@ def test_criterion_7_classifier_equivalences(verified, sweep14):
 def hunt_first_artiad_mod49(start=20000, stop=10**6, step=20000):
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
-        for p in [q for q in sieve_primes(hi) if q > lo and q % 49 == 1]:
+        for p in primes_in_range(lo + 1, hi, 49):
             b = prepare_prime(p, order49=False)
             if classify_via_x(b.sol):
                 return p
@@ -354,12 +354,12 @@ def test_criterion_8_artiad_simplified_form_as_stated(first_artiad):
 
 def test_criterion_8_stated_t7_slip_all_generator_classes():
     """The ind(7)-coefficient slip at every artiad prime = 1 (mod 49) up to
-    126127, under a generator from each of the six classes mod 7th powers."""
+    126127, under a generator from each of the six classes mod 7th powers,
+    in the t^7 coefficient and in lemma 4's condition C."""
     failed = []
     # the list is complete: none lies below 20000 (criterion 8 structure)
-    scanned = [p for p in sieve_primes(ARTIAD_MOD49[-1])
-               if p > 20000 and p % 49 == 1
-               and classify_via_x(prepare_prime(p, order49=False).sol)]
+    scanned = [p for p in primes_in_range(20001, ARTIAD_MOD49[-1], 49)
+               if classify_via_x(prepare_prime(p, order49=False).sol)]
     if tuple(scanned) != ARTIAD_MOD49:
         failed.append(("artiad primes = 1 (mod 49) in (20000, 126127]", scanned))
     for p in ARTIAD_MOD49:
@@ -377,17 +377,25 @@ def test_criterion_8_stated_t7_slip_all_generator_classes():
             classes.add(ind7)
             corrected = corrected_t7(c6, ind7, x5)
             stated = simplified_residue(c6, ind7, x5, hyper=False)
+            b = prepare_prime(p, gamma)
+            coeffs1 = coeffs_by_definition(b.dh7, 1, s_value=s_direct(b.dh49, 1))
+            conditions = artiad_conditions(coeffs1, b.sol, ind7, p)
             if not (cert.match and cert.classification.kind == "artiad"
                     and cert.actual.coeffs[7] == corrected
                     and adj["c7_stated_mod7_match"] is True
                     and stated.coeffs[:7] == cert.actual.coeffs[:7]
                     and stated != cert.actual and ev.theorem3_match is False):
                 failed.append((p, gamma))
+            # lemma 4: A and B hold, C fails as stated and holds with -12 ind7
+            if not (conditions == (True, True, False) and ev.lemma4 is False
+                    and (4 * coeffs1.s_value - 12 * ind7 + 12 * c6 - x5) % 7 == 0):
+                failed.append((p, gamma, "lemma 4", conditions))
         if classes != set(range(1, 7)):
             failed.append((p, "generator classes", sorted(classes)))
     report("8 (artiad branch, t^7 slip coverage)", not failed,
            f"{len(ARTIAD_MOD49)} artiad primes x 6 generator classes: actual "
-           f"t^7 = -3*c6 + 3*ind7 + 2*x5 = c7_stated (mod 7), stated form fails")
+           f"t^7 = -3*c6 + 3*ind7 + 2*x5 = c7_stated (mod 7), stated form fails; "
+           f"lemma 4's C fails as stated and holds with -12*ind7")
     assert not failed
 
 

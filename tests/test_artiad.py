@@ -1,10 +1,10 @@
 import pytest
 
-from conftest import sieve_primes
 from jacobi49.artiad import (classify_from_parts, classify_via_cubic,
                              classify_via_x, cubic_roots, ind7_mod49_relation,
                              ind7_muskat, artiad_conditions, hyperartiad_conditions,
                              simplified_residue)
+from jacobi49.cli import primes_in_range
 from jacobi49.congruence import coeffs_by_definition, s_direct
 from jacobi49.cyclotomic_ring import residue_mod_t8
 from jacobi49.cyclotomy import jacobi_sum
@@ -13,8 +13,8 @@ from jacobi49.order7 import Sextuple, orbit, trivial_solutions, tu_decompose
 from jacobi49.prime_field import index_of
 from jacobi49.verify import classify_prime, verify_prime
 
-P14_1000 = [p for p in sieve_primes(1000) if p % 14 == 1]
-P49_3000 = [p for p in sieve_primes(3000) if p % 49 == 1]
+P14_1000 = primes_in_range(2, 1000, 14)
+P49_3000 = primes_in_range(2, 3000, 49)
 
 FIRST_ARTIAD_MOD14 = 14197   # smallest septic artiad found by the scanner
 FIRST_ARTIAD_MOD49 = 60271   # smallest artiad prime that is 1 (mod 49)

@@ -78,6 +78,21 @@ def test_classify_mod49_includes_lemma_evidence(capsys):
     assert ev["lemma4"] is not None and ev["lemma5"] is not None
 
 
+def _disagreeing_cubic_criterion(monkeypatch):
+    # fault injection: the cubic-root criterion contradicts the x-test
+    from jacobi49 import artiad
+    real = artiad.classify_via_cubic
+    monkeypatch.setattr(artiad, "classify_via_cubic", lambda ctx: not real(ctx))
+
+
+def test_classify_exits_1_on_discrepancy(monkeypatch, capsys):
+    _disagreeing_cubic_criterion(monkeypatch)
+    code, out, _ = run_cli(capsys, "classify", "--prime", "29")
+    assert code == 1
+    assert json.loads(out)["discrepancies"] == [
+        "artiad criteria disagree (x-test vs cubic roots)"]
+
+
 def test_classify_wrong_class(capsys):
     code, _, err = run_cli(capsys, "classify", "--prime", "23")
     assert code == 2
@@ -98,6 +113,17 @@ def test_scan_report_and_exit(tmp_path, capsys):
     for p in primes:
         ns = [c["n"] for c in report["certificates"] if c["p"] == p]
         assert ns == [None, 1]
+
+
+def test_scan_exits_1_on_discrepancy_without_mismatch(tmp_path, monkeypatch, capsys):
+    _disagreeing_cubic_criterion(monkeypatch)
+    out_file = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "scan", "--min", "2", "--max", "250",
+                         "--modulus", "14", "--output", str(out_file))
+    assert code == 1
+    summary = json.loads(out_file.read_text())["summary"]
+    assert summary["mismatches"] == 0
+    assert len(summary["discrepancy_flags"]) == 8 + 1  # 197 has two records
 
 
 def test_scan_deterministic_across_jobs(tmp_path, capsys):

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from conftest import sieve_primes
+from jacobi49 import _kernels
+from jacobi49.cli import primes_in_range
 from jacobi49.congruence import (SIX_CLASS_REPS, adjudicate_closed_forms,
                                  c7_closed_form_fitted, coeffs_by_definition,
                                  coeffs_closed_form, lambda_pair, lambda_single,
@@ -12,7 +13,7 @@ from jacobi49.cyclotomy import jacobi_sum, six_class
 from jacobi49.errors import InputError
 from jacobi49.verify import verify_prime
 
-P49_SMALL = [p for p in sieve_primes(5000) if p % 49 == 1]
+P49_SMALL = primes_in_range(2, 5000, 49)
 
 
 def test_lambda_single_example():
@@ -148,7 +149,51 @@ def test_verify_prime_input_errors():
 
 
 def test_actual_residue_taken_from_direct_sum(bundle):
-    # the certificate's actual residue is the direct character sum's image
+    # the certificate's actual residue, read off the table for n != 1,
+    # is the direct character sum's image
     b = bundle(197)
     cert = verify_prime(197, ns=(5,), identities="skip")[0]
     assert cert.actual == residue_mod_t8(jacobi_sum(b.ctx, 49, 1, 5))
+
+
+_OP_KERNELS = ("index_table", "pair_counts", "power_pair_hist",
+               "power_pair_hist_variant", "cubic_roots")
+
+
+@pytest.mark.parametrize("identities", ["sampled", "full"])
+def test_verify_prime_passes_over_field(monkeypatch, identities):
+    # Every J(i,j)_49 is read off the pair-count table; the only direct
+    # character sum per prime is J(1,1)_49, the check on that table.
+    calls = dict.fromkeys(_OP_KERNELS, 0)
+
+    def counting(name, kernel):
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapper
+
+    for name in _OP_KERNELS:
+        monkeypatch.setattr(_kernels, name, counting(name, getattr(_kernels, name)))
+    certs = verify_prime(197, identities=identities)
+    assert all(c.match and not c.discrepancies for c in certs)
+    assert sum(calls.values()) <= 5, calls
+    assert calls["power_pair_hist"] == 1
+    assert calls["power_pair_hist_variant"] == 0
+
+
+def test_direct_sum_catches_a_wrong_table(monkeypatch):
+    # Move one count from cell (0,1)_49 to (0,2)_49: the totals still add up
+    # to p - 2, but the single direct sum no longer matches the table at n = 1.
+    real = _kernels.pair_counts
+
+    def shifted(ind, e):
+        counts = real(ind, e)
+        if e == 49:
+            counts[0, 1] -= 1
+            counts[0, 2] += 1
+        return counts
+
+    monkeypatch.setattr(_kernels, "pair_counts", shifted)
+    cert = verify_prime(197, ns=(1,), identities="skip")[0]
+    assert "Jacobi sum paths disagree at n = 1" in cert.discrepancies
+    assert cert.cross_checks["three_path_agree"] is False

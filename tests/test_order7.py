@@ -1,13 +1,13 @@
 import pytest
 
-from conftest import sieve_primes
+from jacobi49.cli import primes_in_range
 from jacobi49.errors import InputError, InvariantViolation
 from jacobi49.order7 import (CYC7_ROW_COEFFS, CYC7_ROW_01_X4_VARIANT, Sextuple,
                              _row_value, conjugate, cyc7_from_solution,
                              match_reconstruction, norm_form, orbit, recover_t,
                              trivial_solutions, tu_decompose, verify_diophantine)
 
-P14_SMALL = [p for p in sieve_primes(1500) if p % 14 == 1]
+P14_SMALL = primes_in_range(2, 1500, 14)
 
 
 def tu_oracle(p):
