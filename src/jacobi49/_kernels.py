@@ -1,134 +1,127 @@
-"""Hot inner loops over F_p, compiled with numba when available.
+"""Hot loops over F_p, in numpy.
 
-Every kernel exists twice: an @njit version and a vectorized numpy
-fallback.  Setting the environment variable JACOBI49_PURE_NUMPY=1 (or
-running without numba installed) selects the fallbacks.  Both paths
-return identical int64 arrays; benchmarks/bench_kernels.py compares
-their throughput.
+The field is described by its class table: classes[a] = ind(a) mod m for
+a = 1..p-1, where ind is the discrete logarithm to a fixed primitive root
+and m divides p - 1.  With m = gcd(p - 1, 49) every character of order 7
+or 49, and so every cyclotomic number and Jacobi sum the package needs,
+is read off it.  Labels are below 64 and stored as uint8; classes[0]
+holds UNDEFINED and is never read.
 
-All values stay far below 2**63: p is capped at 10**7, table entries are
-counts bounded by p, and histogram exponents are at most 48 * p.
+The kernels walk the field in chunks, so their temporaries stay a few MB
+whatever p is: _CHUNK elements for the pair histograms, whose keys and
+bins then stay in cache, and _BLOCK elements for index_table, whose
+scattered writes go faster in larger batches.  Labels are widened to uint16
+before any multiply or shift: uint8 arithmetic wraps silently.  Counts
+come back as int64 and stay far below 2**63, since p is capped at 10**7.
+
+cubic_roots, a full scan for the roots of x^3 + x^2 - 2x - 1, is the
+test oracle of the closed form in artiad.cubic_roots; the pipeline does
+not call it.
 """
-
-import os
 
 import numpy as np
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 17
+_BLOCK = 1 << 20
+_LABEL_BITS = 6  # labels are below 2**6 = 64
+_LABELS = 1 << _LABEL_BITS
+UNDEFINED = 255
 
+# There is one backend; perfbench records this flag as its name.
 USING_NUMBA = False
-if os.environ.get("JACOBI49_PURE_NUMPY", "") not in ("", "0"):
-    njit = None
-else:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:
-        njit = None
 
 
-def _index_table_np(p, gamma):
-    n = p - 1
-    powers = np.ones(1, dtype=np.int64)
-    g = gamma % p
-    while powers.size < n:
-        powers = np.concatenate([powers, powers * g % p])[:n]
+def _powers(base, n, p):
+    """base**k mod p for k = 0..n-1, as int64."""
+    out = np.ones(1, dtype=np.int64)
+    g = base % p
+    while out.size < n:
+        out = np.concatenate([out, out * g % p])[:n]
         g = g * g % p
-    ind = np.full(p, -1, dtype=np.int64)
-    ind[powers] = np.arange(n, dtype=np.int64)
-    return ind
+    return out
 
 
-def _pair_counts_np(ind, e):
-    p = ind.shape[0]
-    a = ind[1 : p - 1] % e
-    b = ind[2:p] % e
-    return np.bincount(a * e + b, minlength=e * e).reshape(e, e).astype(np.int64)
+def index_table(p, gamma, m):
+    """The class table of F_p for the primitive root gamma, m | p - 1, m <= 64.
+
+    gamma**(k*m + r) has class r: the powers are the (f, m) outer product
+    (gamma**m)**k * gamma**r mod p, f = (p - 1)/m, scattered a block of
+    rows at a time with labels tiled to match.
+    """
+    f = (p - 1) // m
+    steps = _powers(pow(gamma, m, p), f, p)
+    offsets = _powers(gamma, m, p)
+    table = np.empty(p, dtype=np.uint8)
+    table[0] = UNDEFINED
+    rows = max(1, min(f, _BLOCK // m))
+    labels = np.tile(np.arange(m, dtype=np.uint8), rows)
+    for start in range(0, f, rows):
+        block = np.multiply.outer(steps[start : start + rows], offsets)
+        np.remainder(block, p, out=block)
+        table[block.ravel()] = labels[: block.size]
+    return table
 
 
-def _power_pair_hist_np(ind, e, i, j):
-    p = ind.shape[0]
-    keys = (i * ind[1 : p - 1] + j * ind[2:p]) % e
+def _pairs(classes):
+    """(classes[v], classes[v + 1]) for v = 1..p-2, chunk by chunk; the first widened."""
+    p = classes.shape[0]
+    for start in range(1, p - 1, _CHUNK):
+        stop = min(p - 1, start + _CHUNK)
+        yield classes[start:stop].astype(np.uint16), classes[start + 1 : stop + 1]
+
+
+def pair_counts(classes, e):
+    """The cyclotomic numbers (a,b)_e, e | m, as an int64 (e, e) array.
+
+    Counts the class pairs (a, b) mod m of (v, v+1) in 64 x 64 bins and
+    folds them to (a mod e, b mod e) with two integer matrix products.
+    """
+    joint = np.zeros(_LABELS * _LABELS, dtype=np.int64)
+    for a, b in _pairs(classes):
+        a <<= _LABEL_BITS
+        a |= b
+        joint += np.bincount(a, minlength=_LABELS * _LABELS)
+    fold = (np.arange(_LABELS) % e == np.arange(e)[:, None]).astype(np.int64)
+    return fold @ joint.reshape(_LABELS, _LABELS) @ fold.T
+
+
+def power_pair_hist(classes, e, i, j):
+    """Histogram over v = 1..p-2 of (i*ind(v) + j*ind(v+1)) mod e; 0 <= i, j < e | m."""
+    out = np.zeros(e, dtype=np.int64)
+    for a, b in _pairs(classes):
+        a *= i
+        a += j * b.astype(np.uint16)
+        a %= e
+        out += np.bincount(a, minlength=e)
+    return out
+
+
+def power_pair_hist_variant(classes, e, i, j):
+    """Histogram over v = 2..p-1 of (i*ind(v) + j*ind(1 - v)) mod e; 0 <= i, j < e | m.
+
+    The partner index (1 - v) mod p = p + 1 - v is classes[2:p] backwards.
+    """
+    p = classes.shape[0]
+    a = classes[2:p].astype(np.uint16)
+    keys = i * a + j * a[::-1]
+    keys %= e
     return np.bincount(keys, minlength=e).astype(np.int64)
 
 
-def _power_pair_hist_variant_np(ind, e, i, j):
-    # v runs over 2..p-1; the partner index is (1 - v) mod p = p + 1 - v,
-    # which is ind[2:p] traversed backwards.
-    p = ind.shape[0]
-    keys = (i * ind[2:p] + j * ind[2:p][::-1]) % e
-    return np.bincount(keys, minlength=e).astype(np.int64)
-
-
-def _cubic_roots_np(p):
-    # Roots of x^3 + x^2 - 2x - 1 modulo p, scanned in chunks.
+def cubic_roots(p):
+    """Roots of x^3 + x^2 - 2x - 1 modulo p, ascending, by scanning all of F_p."""
     roots = []
-    for start in range(0, p, _CHUNK):
-        x = np.arange(start, min(p, start + _CHUNK), dtype=np.int64)
+    for start in range(0, p, _BLOCK):
+        x = np.arange(start, min(p, start + _BLOCK), dtype=np.int64)
         vals = ((x * x % p) * x + x * x + (p - 2) * x + (p - 1)) % p
         roots.extend(int(start + k) for k in np.flatnonzero(vals == 0))
     return np.array(roots, dtype=np.int64)
 
 
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def index_table(p, gamma):
-        ind = np.full(p, -1, np.int64)
-        acc = 1
-        for k in range(p - 1):
-            ind[acc] = k
-            acc = acc * gamma % p
-        return ind
-
-    @njit(cache=True)
-    def pair_counts(ind, e):
-        p = ind.shape[0]
-        counts = np.zeros((e, e), np.int64)
-        for v in range(1, p - 1):
-            counts[ind[v] % e, ind[v + 1] % e] += 1
-        return counts
-
-    @njit(cache=True)
-    def power_pair_hist(ind, e, i, j):
-        p = ind.shape[0]
-        out = np.zeros(e, np.int64)
-        for v in range(1, p - 1):
-            out[(i * ind[v] + j * ind[v + 1]) % e] += 1
-        return out
-
-    @njit(cache=True)
-    def power_pair_hist_variant(ind, e, i, j):
-        p = ind.shape[0]
-        out = np.zeros(e, np.int64)
-        for v in range(2, p):
-            out[(i * ind[v] + j * ind[p + 1 - v]) % e] += 1
-        return out
-
-    @njit(cache=True)
-    def cubic_roots(p):
-        out = np.empty(4, np.int64)
-        cnt = 0
-        for x in range(p):
-            if ((x * x % p) * x + x * x + (p - 2) * x + (p - 1)) % p == 0:
-                if cnt < 4:
-                    out[cnt] = x
-                cnt += 1
-        return out[: min(cnt, 4)].copy()
-
-else:
-    index_table = _index_table_np
-    pair_counts = _pair_counts_np
-    power_pair_hist = _power_pair_hist_np
-    power_pair_hist_variant = _power_pair_hist_variant_np
-    cubic_roots = _cubic_roots_np
-
-
 def warmup():
-    """Force compilation of every kernel on a tiny field (no-op without numba)."""
-    ind = index_table(29, 2)
-    pair_counts(ind, 7)
-    power_pair_hist(ind, 7, 1, 1)
-    power_pair_hist_variant(ind, 7, 1, 1)
+    """Run every kernel once on F_29, so that lazy numpy set-up is not timed later."""
+    classes = index_table(29, 2, 7)
+    pair_counts(classes, 7)
+    power_pair_hist(classes, 7, 1, 1)
+    power_pair_hist_variant(classes, 7, 1, 1)
     cubic_roots(29)

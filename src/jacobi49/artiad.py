@@ -16,7 +16,6 @@ classification carries its own cross-checks.
 
 from dataclasses import dataclass
 
-from . import _kernels
 from .cyclotomic_ring import Residue8
 from .congruence import CoefficientSet
 from .cyclotomy import CycNumberTable
@@ -31,20 +30,34 @@ def classify_via_x(sol: Sextuple) -> bool:
 
 
 def cubic_roots(p: int) -> list[int]:
-    """All roots of x^3 + x^2 - 2x - 1 modulo p, by full scan."""
-    return [int(r) for r in _kernels.cubic_roots(p)]
+    """The three roots of x^3 + x^2 - 2x - 1 modulo p = 1 (mod 7), ascending.
+
+    They are w^k + w^-k, k = 1, 2, 3, for a primitive seventh root of
+    unity w in F_p (Berndt-Evans-Williams, Gauss and Jacobi Sums, 1998);
+    w = a^((p-1)/7) for the least a >= 2 that is not a seventh power.
+    Each root is checked against the cubic and the three for distinctness.
+    """
+    if (p - 1) % 7 != 0:
+        raise InputError("the cubic splits into w^k + w^-k only for p = 1 (mod 7)")
+    f = (p - 1) // 7
+    a = 2
+    while (w := pow(a, f, p)) == 1:
+        a += 1
+    roots = sorted((pow(w, k, p) + pow(w, 7 - k, p)) % p for k in (1, 2, 3))
+    bad = [r for r in roots if (r * r * r + r * r - 2 * r - 1) % p]
+    if bad or len(set(roots)) != 3:
+        raise InvariantViolation(
+            f"closed-form cubic roots {roots} mod {p}: {bad} fail the cubic "
+            f"or the roots repeat")
+    return roots
 
 
 def classify_via_cubic(ctx: FieldContext) -> bool:
     """Artiad test from the defining cubic; needs p = 1 (mod 7)."""
     if (ctx.p - 1) % 7 != 0:
         raise InputError("the cubic criterion needs p = 1 (mod 7)")
-    roots = cubic_roots(ctx.p)
-    if len(roots) != 3:
-        raise InvariantViolation(
-            f"expected 3 cubic roots mod {ctx.p}, found {len(roots)}"
-        )
-    return all(index_of(ctx, r) % 7 == 0 for r in roots)
+    classes = ctx.classes_for(7)
+    return all(classes[r] % 7 == 0 for r in cubic_roots(ctx.p))
 
 
 def ind7_muskat(cyc7: CycNumberTable, p: int) -> int:
@@ -183,7 +196,7 @@ def classify_from_parts(ctx: FieldContext, cyc7: CycNumberTable, sol: Sextuple,
         raise InputError("classification needs p = 1 (mod 14)")
     via_x = classify_via_x(sol)
     via_cubic = classify_via_cubic(ctx)
-    ind7 = index_of(ctx, 7)
+    ind7 = int(ctx.classes_for(7)[7]) % 7
     ind7_zero = ind7 % 7 == 0
     kind = "ordinary"
     if via_x:

@@ -24,7 +24,7 @@ from . import __version__
 from .errors import DomainError, InputError
 from .prime_field import is_prime
 from .selfcheck import run_selfchecks
-from .verify import classify_prime, verify_prime
+from .verify import ALL_N, classify_prime, scan_prime, verify_prime
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -62,12 +62,7 @@ def cmd_classify(args) -> int:
 
 def _scan_one(task) -> list[dict]:
     p, all_n = task
-    if (p - 1) % 49 == 0:
-        certs = [classify_prime(p)]
-        certs.extend(verify_prime(p, ns=None if all_n else (1,)))
-    else:
-        certs = [classify_prime(p)]
-    return [c.to_json() for c in certs]
+    return [c.to_json() for c in scan_prime(p, ALL_N if all_n else (1,))]
 
 
 def _summarize(cert_dicts: list[dict]) -> dict:
@@ -95,23 +90,22 @@ def _summarize(cert_dicts: list[dict]) -> dict:
     }
 
 
-def _write_csv(path: str, cert_dicts: list[dict]) -> None:
+def _write_csv(fh, cert_dicts: list[dict]) -> None:
     cols = (["p", "gamma", "n", "match", "kind"]
             + [f"predicted_t{i}" for i in range(8)]
             + [f"actual_t{i}" for i in range(8)]
             + ["discrepancies"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for c in cert_dicts:
-            pred = c["predicted"] if c["predicted"] else [""] * 8
-            act = c["actual"] if c["actual"] else [""] * 8
-            writer.writerow(
-                [c["p"], c["gamma"], "" if c["n"] is None else c["n"],
-                 "" if c["match"] is None else c["match"],
-                 c["classification"]["kind"]]
-                + list(pred) + list(act)
-                + ["; ".join(c["discrepancies"])])
+    writer = csv.writer(fh)
+    writer.writerow(cols)
+    for c in cert_dicts:
+        pred = c["predicted"] if c["predicted"] else [""] * 8
+        act = c["actual"] if c["actual"] else [""] * 8
+        writer.writerow(
+            [c["p"], c["gamma"], "" if c["n"] is None else c["n"],
+             "" if c["match"] is None else c["match"],
+             c["classification"]["kind"]]
+            + list(pred) + list(act)
+            + ["; ".join(c["discrepancies"])])
 
 
 def cmd_scan(args) -> int:
@@ -119,41 +113,48 @@ def cmd_scan(args) -> int:
         raise InputError("scan range is empty the wrong way: min > max")
     if args.jobs < 1:
         raise InputError("jobs must be at least 1")
-    start = time.monotonic()
-    primes = primes_in_range(args.min, args.max, args.modulus)
-    tasks = [(p, args.all_n) for p in primes]
-    if args.jobs == 1 or len(tasks) <= 1:
-        batches = [_scan_one(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            batches = list(pool.map(_scan_one, tasks))
-    cert_dicts = [c for batch in batches for c in batch]
-    cert_dicts.sort(key=lambda c: (c["p"], c["n"] is not None, c["n"] or 0))
-    # jobs is execution detail, not content: the report must be byte-identical
-    # for any worker count (only runtime_seconds may differ between runs).
-    report = {
-        "config": {
-            "min": args.min,
-            "max": args.max,
-            "modulus": args.modulus,
-            "all_n": args.all_n,
-            "format": args.format,
-        },
-        "version": __version__,
-        "summary": _summarize(cert_dicts),
-        "certificates": cert_dicts,
-        "runtime_seconds": round(time.monotonic() - start, 3),
-    }
+    # Open the report first, so that an unusable path fails before the scan.
     try:
-        if args.format == "csv":
-            _write_csv(args.output, cert_dicts)
-        else:
-            with open(args.output, "w") as fh:
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
+        fh = open(args.output, "w", newline="" if args.format == "csv" else None)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    with fh:
+        start = time.monotonic()
+        primes = primes_in_range(args.min, args.max, args.modulus)
+        tasks = [(p, args.all_n) for p in primes]
+        if args.jobs == 1 or len(tasks) <= 1:
+            batches = [_scan_one(t) for t in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                batches = list(pool.map(_scan_one, tasks))
+        cert_dicts = [c for batch in batches for c in batch]
+        cert_dicts.sort(key=lambda c: (c["p"], c["n"] is not None, c["n"] or 0))
+        # jobs is execution detail, not content: the report must be byte-identical
+        # for any worker count (only runtime_seconds may differ between runs).
+        report = {
+            "config": {
+                "min": args.min,
+                "max": args.max,
+                "modulus": args.modulus,
+                "all_n": args.all_n,
+                "format": args.format,
+            },
+            "version": __version__,
+            "summary": _summarize(cert_dicts),
+            "certificates": cert_dicts,
+            "runtime_seconds": round(time.monotonic() - start, 3),
+        }
+        try:
+            if args.format == "csv":
+                _write_csv(fh, cert_dicts)
+            else:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
+            fh.flush()
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     summary = report["summary"]
     print(f"scanned {len(primes)} primes, {summary['mismatches']} mismatches, "
           f"{len(summary['discrepancy_flags'])} discrepancy flags, "

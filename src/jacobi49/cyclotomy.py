@@ -65,24 +65,24 @@ class DicksonHurwitzTable:
 
 
 def cyclotomic_numbers(ctx: FieldContext, e: int) -> CycNumberTable:
-    """One pass over v in F_p minus {0, -1}, binning by (ind v, ind(v+1)) mod e."""
-    ctx.f(e)  # validates e | p - 1
-    counts = _kernels.pair_counts(ctx.ind, e)
+    """One pass over v in F_p minus {0, -1}, binning by (ind v, ind(v+1)) mod e.
+
+    e must divide ctx.m = gcd(p - 1, 49), the modulus of the class table.
+    """
+    counts = _kernels.pair_counts(ctx.classes_for(e), e)
     counts.flags.writeable = False
     return CycNumberTable(e=e, p=ctx.p, gamma=ctx.gamma, counts=counts)
 
 
 def jacobi_sum(ctx: FieldContext, e: int, i: int, j: int) -> CyclotomicInt:
-    """J(i,j)_e = sum over v of chi^i(v) chi^j(1+v), as an exact element."""
-    ctx.f(e)
-    hist = _kernels.power_pair_hist(ctx.ind, e, i % e, j % e)
+    """J(i,j)_e = sum over v of chi^i(v) chi^j(1+v), as an exact element; e | ctx.m."""
+    hist = _kernels.power_pair_hist(ctx.classes_for(e), e, i % e, j % e)
     return CyclotomicInt(e, hist.tolist())
 
 
 def jacobi_sum_variant(ctx: FieldContext, e: int, i: int, j: int) -> CyclotomicInt:
     """The 1-v convention: J(chi^i, chi^j)_e = sum of chi^i(v) chi^j(1-v)."""
-    ctx.f(e)
-    hist = _kernels.power_pair_hist_variant(ctx.ind, e, i % e, j % e)
+    hist = _kernels.power_pair_hist_variant(ctx.classes_for(e), e, i % e, j % e)
     return CyclotomicInt(e, hist.tolist())
 
 

@@ -1,20 +1,26 @@
-"""Prime-field context: primality, primitive roots, and the index table.
+"""Prime-field context: primality, primitive roots, and the class table.
 
-The index table ind[a] is the discrete logarithm of a with respect to a
-fixed primitive root gamma, i.e. gamma**ind[a] == a (mod p).  Every
-multiplicative character used elsewhere in the package is read off this
-table, so the context is built once per prime and shared read-only.
+ind(a) is the discrete logarithm of a with respect to a fixed primitive
+root gamma, i.e. gamma**ind(a) == a (mod p).  Every multiplicative
+character used elsewhere in the package has order 7 or 49, so it depends
+on ind(a) only mod m = gcd(p - 1, 49).  The context stores that class,
+one uint8 per field element, and is built once per prime and shared
+read-only.  A single full logarithm (index_of) comes from Pohlig-Hellman
+and reads no table.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, InvariantViolation
 
-# Above this the length-p index table stops being desk-scale.
+# Above this the O(p) passes over F_p stop being desk-scale.
 MAX_PRIME = 10**7
+# The class table holds ind(a) mod gcd(p - 1, CLASS_MODULUS).
+CLASS_MODULUS = 49
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -88,11 +94,15 @@ def find_generator(p: int) -> int:
 
 @dataclass(frozen=True)
 class FieldContext:
-    """Immutable per-prime context: p, the chosen generator, and the index table."""
+    """Immutable per-prime context: p, the chosen generator, and the class table.
+
+    classes[a] = ind(a) mod m for a = 1..p-1, with m = gcd(p - 1, 49).
+    """
 
     p: int
     gamma: int
-    ind: np.ndarray = field(repr=False, compare=False)
+    m: int
+    classes: np.ndarray = field(repr=False, compare=False)
 
     def f(self, e: int) -> int:
         """The cofactor (p - 1) / e for a modulus e dividing p - 1."""
@@ -100,9 +110,16 @@ class FieldContext:
             raise InputError(f"{e} does not divide p - 1 = {self.p - 1}")
         return (self.p - 1) // e
 
+    def classes_for(self, e: int) -> np.ndarray:
+        """The class table, for characters of order e; e must divide m."""
+        if self.m % e != 0:
+            raise InputError(f"{e} does not divide m = gcd(p - 1, {CLASS_MODULUS}) "
+                             f"= {self.m}")
+        return self.classes
+
 
 def build_ctx(p: int, gamma: int | None = None) -> FieldContext:
-    """Build the index table for F_p with the given (or the smallest) generator."""
+    """Build the class table for F_p with the given (or the smallest) generator."""
     if not is_prime(p) or p == 2:
         raise InputError(f"{p} is not an odd prime")
     if p > MAX_PRIME:
@@ -113,21 +130,58 @@ def build_ctx(p: int, gamma: int | None = None) -> FieldContext:
         gamma = gamma % p
         if not is_primitive_root(gamma, p):
             raise InputError(f"{gamma} is not a primitive root modulo {p}")
-    ind = _kernels.index_table(p, gamma)
-    ind.flags.writeable = False
-    return FieldContext(p=p, gamma=gamma, ind=ind)
+    m = math.gcd(p - 1, CLASS_MODULUS)
+    classes = _kernels.index_table(p, gamma, m)
+    classes.flags.writeable = False
+    return FieldContext(p=p, gamma=gamma, m=m, classes=classes)
+
+
+def _dlog_prime_order(g: int, h: int, q: int, p: int) -> int:
+    """x in [0, q) with g**x == h (mod p), g of prime order q: baby-step giant-step."""
+    s = math.isqrt(q - 1) + 1
+    baby = {}
+    x = 1
+    for j in range(s):
+        baby.setdefault(x, j)
+        x = x * g % p
+    giant = pow(g, -s, p)
+    y = h
+    for i in range(s):
+        j = baby.get(y)
+        if j is not None:
+            return i * s + j
+        y = y * giant % p
+    raise InvariantViolation(f"{h} is not a power of {g} modulo {p}")
 
 
 def index_of(ctx: FieldContext, a: int) -> int:
-    """Discrete log of a with respect to ctx.gamma; a must be nonzero mod p."""
-    r = a % ctx.p
+    """Discrete log of a with respect to ctx.gamma, in [0, p - 1); a nonzero mod p.
+
+    Pohlig-Hellman over the prime factors q of p - 1, one base-q digit
+    at a time in the subgroup of order q; no table over F_p is read.
+    """
+    p, n = ctx.p, ctx.p - 1
+    r = a % p
     if r == 0:
         raise DomainError("index of 0 is undefined")
-    return int(ctx.ind[r])
+    x, modulus = 0, 1
+    for q in _prime_factors(n):
+        g = pow(ctx.gamma, n // q, p)
+        xq, qd = 0, 1  # x mod qd, for qd = q**d
+        while n % (qd * q) == 0:
+            h = pow(r * pow(ctx.gamma, -xq, p) % p, n // (qd * q), p)
+            xq += _dlog_prime_order(g, h, q, p) * qd
+            qd *= q
+        x += modulus * ((xq - x) * pow(modulus, -1, qd) % qd)
+        modulus *= qd
+    return x
 
 
 def is_seventh_power_residue(ctx: FieldContext, a: int) -> bool:
     """Whether a is a seventh power in F_p*; requires p = 1 (mod 7)."""
     if (ctx.p - 1) % 7 != 0:
         raise InputError("p must be 1 (mod 7)")
-    return index_of(ctx, a) % 7 == 0
+    r = a % ctx.p
+    if r == 0:
+        raise DomainError("index of 0 is undefined")
+    return int(ctx.classes_for(7)[r]) % 7 == 0

@@ -6,8 +6,28 @@ from jacobi49.verify import PrimeBundle, prepare_prime
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    # Compile (or load from cache) every jitted kernel before any timing runs.
+    # Run every kernel once on a tiny field, so lazy numpy set-up happens here.
     _kernels.warmup()
+
+
+OP_KERNELS = ("index_table", "pair_counts", "power_pair_hist",
+              "power_pair_hist_variant", "cubic_roots")
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of calls to each O(p) kernel in _kernels, by name."""
+    calls = dict.fromkeys(OP_KERNELS, 0)
+
+    def counting(name, kernel):
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapper
+
+    for name in OP_KERNELS:
+        monkeypatch.setattr(_kernels, name, counting(name, getattr(_kernels, name)))
+    return calls
 
 
 _BUNDLES: dict[tuple[int, int | None], PrimeBundle] = {}

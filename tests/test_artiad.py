@@ -1,5 +1,6 @@
 import pytest
 
+from jacobi49 import _kernels
 from jacobi49.artiad import (classify_from_parts, classify_via_cubic,
                              classify_via_x, cubic_roots, ind7_mod49_relation,
                              ind7_muskat, artiad_conditions, hyperartiad_conditions,
@@ -56,6 +57,14 @@ def test_cubic_needs_right_class(bundle):
     from jacobi49.prime_field import build_ctx
     with pytest.raises(InputError):
         classify_via_cubic(build_ctx(11))
+    with pytest.raises(InputError):
+        cubic_roots(13)  # 13 = -1 (mod 7): the cubic splits, but not as w^k + w^-k
+
+
+def test_closed_form_roots_match_full_scan():
+    # the full scan over F_p is the oracle for w^k + w^-k
+    for p in primes_in_range(2, 5000, 7) + [4500007]:
+        assert cubic_roots(p) == _kernels.cubic_roots(p).tolist(), p
 
 
 @pytest.mark.parametrize("p", P14_1000)

@@ -1,7 +1,10 @@
 import json
 import re
 
-from jacobi49.cli import main, primes_in_range
+import pytest
+
+from jacobi49.cli import _scan_one, main, primes_in_range
+from jacobi49.verify import classify_prime, verify_prime
 
 
 def run_cli(capsys, *argv):
@@ -174,11 +177,27 @@ def test_scan_csv_projection(tmp_path, capsys):
     assert len(lines) == 1 + 4  # 197 and 491, two records each
 
 
-def test_scan_unwritable_output(capsys):
+def test_scan_unwritable_output(capsys, kernel_calls):
+    # the output is opened before the scan: no pass over any field runs
     code, _, err = run_cli(capsys, "scan", "--min", "2", "--max", "300",
                            "--modulus", "49", "--output",
                            "/nonexistent-dir/report.json")
     assert code == 2
+    assert "cannot write report" in err
+    assert sum(kernel_calls.values()) == 0, kernel_calls
+
+
+@pytest.mark.parametrize("all_n", [False, True])
+def test_scan_builds_one_bundle_per_prime(kernel_calls, all_n):
+    # the records of classify_prime and verify_prime, from one class table
+    # and one direct J(1,1)_49
+    records = _scan_one((197, all_n))
+    assert kernel_calls["index_table"] == 1
+    assert kernel_calls["power_pair_hist"] == 1
+    assert sum(kernel_calls.values()) == 4, kernel_calls
+    want = [classify_prime(197).to_json()]
+    want += [c.to_json() for c in verify_prime(197, ns=None if all_n else (1,))]
+    assert records == want
 
 
 def test_scan_bad_config(capsys):

@@ -11,7 +11,7 @@ from jacobi49.congruence import (SIX_CLASS_REPS, adjudicate_closed_forms,
 from jacobi49.cyclotomic_ring import residue8, residue_mod_t8
 from jacobi49.cyclotomy import jacobi_sum, six_class
 from jacobi49.errors import InputError
-from jacobi49.verify import verify_prime
+from jacobi49.verify import classify_prime, verify_prime
 
 P49_SMALL = primes_in_range(2, 5000, 49)
 
@@ -156,29 +156,25 @@ def test_actual_residue_taken_from_direct_sum(bundle):
     assert cert.actual == residue_mod_t8(jacobi_sum(b.ctx, 49, 1, 5))
 
 
-_OP_KERNELS = ("index_table", "pair_counts", "power_pair_hist",
-               "power_pair_hist_variant", "cubic_roots")
-
-
 @pytest.mark.parametrize("identities", ["sampled", "full"])
-def test_verify_prime_passes_over_field(monkeypatch, identities):
+def test_verify_prime_passes_over_field(kernel_calls, identities):
     # Every J(i,j)_49 is read off the pair-count table; the only direct
-    # character sum per prime is J(1,1)_49, the check on that table.
-    calls = dict.fromkeys(_OP_KERNELS, 0)
-
-    def counting(name, kernel):
-        def wrapper(*args):
-            calls[name] += 1
-            return kernel(*args)
-        return wrapper
-
-    for name in _OP_KERNELS:
-        monkeypatch.setattr(_kernels, name, counting(name, getattr(_kernels, name)))
+    # character sum per prime is J(1,1)_49, the check on that table.  The
+    # cubic's roots come in closed form.
     certs = verify_prime(197, identities=identities)
     assert all(c.match and not c.discrepancies for c in certs)
-    assert sum(calls.values()) <= 5, calls
-    assert calls["power_pair_hist"] == 1
-    assert calls["power_pair_hist_variant"] == 0
+    assert sum(kernel_calls.values()) <= 4, kernel_calls
+    assert kernel_calls["power_pair_hist"] == 1
+    assert kernel_calls["power_pair_hist_variant"] == 0
+    assert kernel_calls["cubic_roots"] == 0
+
+
+def test_classify_prime_passes_over_field(kernel_calls):
+    # p = 1 (mod 14), not 1 (mod 49): one class table and the order-7 counts
+    cert = classify_prime(43)
+    assert not cert.discrepancies
+    assert kernel_calls == {"index_table": 1, "pair_counts": 1, "power_pair_hist": 0,
+                            "power_pair_hist_variant": 0, "cubic_roots": 0}
 
 
 def test_direct_sum_catches_a_wrong_table(monkeypatch):

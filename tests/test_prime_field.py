@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,16 @@ def smallest_root_oracle(p: int) -> int:
     return next(g for g in range(2, p) if brute_order(g, p) == p - 1)
 
 
+def reference_log(p: int, gamma: int) -> list[int]:
+    # independent oracle: repeated multiplication, no pow(); entry 0 unused
+    log = [-1] * p
+    x = 1
+    for k in range(p - 1):
+        log[x] = k
+        x = x * gamma % p
+    return log
+
+
 @pytest.mark.parametrize("p", [7, 29, 197, 491])
 def test_find_generator_is_smallest_primitive_root(p):
     assert find_generator(p) == smallest_root_oracle(p)
@@ -41,8 +53,17 @@ def test_find_generator_rejects_composite_and_even():
 
 
 def test_index_table_p7_hand_enumeration():
+    # powers of 3 mod 7: 1, 3, 2, 6, 4, 5; gcd(6, 49) = 1, so every class is 0
     ctx = build_ctx(7, 3)
-    assert ctx.ind.tolist() == [-1, 0, 2, 1, 4, 5, 3]
+    assert [index_of(ctx, a) for a in range(1, 7)] == [0, 2, 1, 4, 5, 3]
+    assert ctx.m == 1
+    assert ctx.classes[1:].tolist() == [0] * 6
+    # powers of 2 mod 29: 1, 2, 4, 8, 16, 3, 6, 12, 24, 19, 9, 18, 7, 14, 28,
+    # 27, 25, 21, 13, 26, 23, 17, 5, 10, 20, 11, 22, 15; classes are ind mod 7
+    ctx = build_ctx(29, 2)
+    assert ctx.m == 7
+    assert ctx.classes[1:].tolist() == [0, 1, 5, 2, 1, 6, 5, 3, 3, 2, 4, 0, 4, 6,
+                                        6, 4, 0, 4, 2, 3, 3, 5, 6, 1, 2, 5, 1, 0]
 
 
 @pytest.mark.parametrize("p", [29, 197])
@@ -59,7 +80,14 @@ def test_index_table_anchors(p):
 @pytest.mark.parametrize("p", [29, 113, 197])
 def test_index_table_bijective(p):
     ctx = build_ctx(p)
-    assert sorted(ctx.ind[1:].tolist()) == list(range(p - 1))
+    ref = reference_log(p, ctx.gamma)
+    logs = [index_of(ctx, a) for a in range(1, p)]
+    assert logs == ref[1:]
+    assert sorted(logs) == list(range(p - 1))
+    # the class table is the reference log mod m, each class of size (p - 1)/m
+    assert ctx.m == math.gcd(p - 1, 49)
+    assert ctx.classes[1:].tolist() == [k % ctx.m for k in ref[1:]]
+    assert np.bincount(ctx.classes[1:]).tolist() == [(p - 1) // ctx.m] * ctx.m
 
 
 @given(a=st.integers(1, 196), b=st.integers(1, 196))
@@ -130,6 +158,56 @@ def test_is_prime_small_table():
 
 def test_ctx_is_readonly():
     ctx = build_ctx(29)
-    assert isinstance(ctx.ind, np.ndarray)
+    assert isinstance(ctx.classes, np.ndarray)
+    assert ctx.classes.dtype == np.uint8 and ctx.classes.shape == (29,)
     with pytest.raises(ValueError):
-        ctx.ind[3] = 0
+        ctx.classes[3] = 0
+
+
+def test_class_table_needs_dividing_order():
+    ctx = build_ctx(29)
+    assert ctx.classes_for(7) is ctx.classes
+    with pytest.raises(InputError):
+        ctx.classes_for(49)  # 49 does not divide 28
+    with pytest.raises(InputError):
+        build_ctx(197).classes_for(4)  # 4 divides 196 but not m = 49
+
+
+@pytest.mark.parametrize("p", [4500007, 4500161, 9999047])
+def test_index_of_large_prime(p):
+    # 9999047 = 2q + 1 with q prime, so baby-step giant-step runs in order q
+    ctx = build_ctx(p)
+    for a in (2, 7, p - 1, 1234567, p - 2):
+        x = index_of(ctx, a)
+        assert 0 <= x < p - 1 and pow(ctx.gamma, x, p) == a
+        assert x % ctx.m == ctx.classes[a]
+
+
+# Cross-checks against an independent implementation; skipped without sympy.
+
+_PSEUDOPRIMES = (561, 1105, 1729, 2047, 3215031751, 2152302898747,
+                 3825123056546413051)
+
+
+def test_is_prime_against_sympy():
+    ntheory = pytest.importorskip("sympy.ntheory")
+    for n in list(range(-2, 20000)) + list(range(MAX_PRIME - 2000, MAX_PRIME + 2000)):
+        assert is_prime(n) == ntheory.isprime(n), n
+    for n in _PSEUDOPRIMES:
+        assert not is_prime(n) and not ntheory.isprime(n)
+
+
+def test_find_generator_against_sympy():
+    ntheory = pytest.importorskip("sympy.ntheory")
+    primes = [p for p in range(3, 3000) if is_prime(p)] + [4500007, 4500161, 9999047]
+    for p in primes:
+        assert find_generator(p) == ntheory.primitive_root(p), p
+
+
+@pytest.mark.parametrize("p,gamma", [(197, None), (60271, None), (60271, 33),
+                                     (4500161, None), (9999047, None)])
+def test_index_of_against_sympy(p, gamma):
+    ntheory = pytest.importorskip("sympy.ntheory")
+    ctx = build_ctx(p, gamma)
+    for a in [1, 2, 3, 7, p - 1] + list(range(1000, p, p // 50)):
+        assert index_of(ctx, a) == ntheory.discrete_log(p, a, ctx.gamma), a
