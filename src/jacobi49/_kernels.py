@@ -7,12 +7,15 @@ or 49, and so every cyclotomic number and Jacobi sum the package needs,
 is read off it.  Labels are below 64 and stored as uint8; classes[0]
 holds UNDEFINED and is never read.
 
-The kernels walk the field in chunks, so their temporaries stay a few MB
+The kernels walk the field in chunks, so their temporaries stay small
 whatever p is: _CHUNK elements for the pair histograms, whose keys and
 bins then stay in cache, and _BLOCK elements for index_table, whose
-scattered writes go faster in larger batches.  Labels are widened to uint16
-before any multiply or shift: uint8 arithmetic wraps silently.  Counts
-come back as int64 and stay far below 2**63, since p is capped at 10**7.
+scattered writes go faster in larger batches.  The histograms widen each
+chunk of labels to int64 before any multiply (uint8 arithmetic
+wraps silently), so all their arithmetic runs in the int64 loops the rest
+of the package uses; narrow loops of their own would add numpy code pages
+to every process that runs a kernel once.  Counts stay far below 2**63,
+since p is capped at 10**7.
 
 cubic_roots, a full scan for the roots of x^3 + x^2 - 2x - 1, is the
 test oracle of the closed form in artiad.cubic_roots; the pipeline does
@@ -21,10 +24,9 @@ not call it.
 
 import numpy as np
 
-_CHUNK = 1 << 17
+_CHUNK = 1 << 15
 _BLOCK = 1 << 20
-_LABEL_BITS = 6  # labels are below 2**6 = 64
-_LABELS = 1 << _LABEL_BITS
+_LABELS = 64  # every label is below 64
 UNDEFINED = 255
 
 # There is one backend; perfbench records this flag as its name.
@@ -63,26 +65,29 @@ def index_table(p, gamma, m):
 
 
 def _pairs(classes):
-    """(classes[v], classes[v + 1]) for v = 1..p-2, chunk by chunk; the first widened."""
+    """(classes[v], classes[v + 1]) for v = 1..p-2, chunk by chunk, as int64."""
     p = classes.shape[0]
     for start in range(1, p - 1, _CHUNK):
         stop = min(p - 1, start + _CHUNK)
-        yield classes[start:stop].astype(np.uint16), classes[start + 1 : stop + 1]
+        yield (classes[start:stop].astype(np.int64),
+               classes[start + 1 : stop + 1].astype(np.int64))
 
 
 def pair_counts(classes, e):
     """The cyclotomic numbers (a,b)_e, e | m, as an int64 (e, e) array.
 
     Counts the class pairs (a, b) mod m of (v, v+1) in 64 x 64 bins and
-    folds them to (a mod e, b mod e) with two integer matrix products.
+    folds them to (a mod e, b mod e).
     """
     joint = np.zeros(_LABELS * _LABELS, dtype=np.int64)
     for a, b in _pairs(classes):
-        a <<= _LABEL_BITS
-        a |= b
+        a *= _LABELS
+        a += b
         joint += np.bincount(a, minlength=_LABELS * _LABELS)
-    fold = (np.arange(_LABELS) % e == np.arange(e)[:, None]).astype(np.int64)
-    return fold @ joint.reshape(_LABELS, _LABELS) @ fold.T
+    r = np.arange(_LABELS) % e
+    out = np.zeros((e, e), dtype=np.int64)
+    np.add.at(out, (r[:, None], r[None, :]), joint.reshape(_LABELS, _LABELS))
+    return out
 
 
 def power_pair_hist(classes, e, i, j):
@@ -90,7 +95,8 @@ def power_pair_hist(classes, e, i, j):
     out = np.zeros(e, dtype=np.int64)
     for a, b in _pairs(classes):
         a *= i
-        a += j * b.astype(np.uint16)
+        b *= j
+        a += b
         a %= e
         out += np.bincount(a, minlength=e)
     return out
@@ -102,10 +108,10 @@ def power_pair_hist_variant(classes, e, i, j):
     The partner index (1 - v) mod p = p + 1 - v is classes[2:p] backwards.
     """
     p = classes.shape[0]
-    a = classes[2:p].astype(np.uint16)
+    a = classes[2:p].astype(np.int64)
     keys = i * a + j * a[::-1]
     keys %= e
-    return np.bincount(keys, minlength=e).astype(np.int64)
+    return np.bincount(keys, minlength=e)
 
 
 def cubic_roots(p):

@@ -54,8 +54,6 @@ def cubic_roots(p: int) -> list[int]:
 
 def classify_via_cubic(ctx: FieldContext) -> bool:
     """Artiad test from the defining cubic; needs p = 1 (mod 7)."""
-    if (ctx.p - 1) % 7 != 0:
-        raise InputError("the cubic criterion needs p = 1 (mod 7)")
     classes = ctx.classes_for(7)
     return all(classes[r] % 7 == 0 for r in cubic_roots(ctx.p))
 

@@ -14,17 +14,20 @@ worker count; the only field that varies between runs is runtime_seconds.
 """
 
 import argparse
+import contextlib
 import csv
 import json
+import os
+import stat
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .errors import DomainError, InputError
-from .prime_field import is_prime
+from .prime_field import MAX_PRIME, is_prime
 from .selfcheck import run_selfchecks
-from .verify import ALL_N, classify_prime, scan_prime, verify_prime
+from .verify import classify_prime, verify_prime
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -62,7 +65,12 @@ def cmd_classify(args) -> int:
 
 def _scan_one(task) -> list[dict]:
     p, all_n = task
-    return [c.to_json() for c in scan_prime(p, ALL_N if all_n else (1,))]
+    if (p - 1) % 49 == 0:
+        certs = [classify_prime(p)]
+        certs.extend(verify_prime(p, ns=None if all_n else (1,)))
+    else:
+        certs = [classify_prime(p)]
+    return [c.to_json() for c in certs]
 
 
 def _summarize(cert_dicts: list[dict]) -> dict:
@@ -108,55 +116,75 @@ def _write_csv(fh, cert_dicts: list[dict]) -> None:
             + ["; ".join(c["discrepancies"])])
 
 
+def _scan_report(args) -> tuple[int, dict]:
+    """Scan the range of args; the number of primes and the report."""
+    start = time.monotonic()
+    primes = primes_in_range(args.min, args.max, args.modulus)
+    tasks = [(p, args.all_n) for p in primes]
+    if args.jobs == 1 or len(tasks) <= 1:
+        batches = [_scan_one(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            batches = list(pool.map(_scan_one, tasks))
+    cert_dicts = [c for batch in batches for c in batch]
+    cert_dicts.sort(key=lambda c: (c["p"], c["n"] is not None, c["n"] or 0))
+    # jobs is execution detail, not content: the report must be byte-identical
+    # for any worker count (only runtime_seconds may differ between runs).
+    report = {
+        "config": {
+            "min": args.min,
+            "max": args.max,
+            "modulus": args.modulus,
+            "all_n": args.all_n,
+            "format": args.format,
+        },
+        "version": __version__,
+        "summary": _summarize(cert_dicts),
+        "certificates": cert_dicts,
+        "runtime_seconds": round(time.monotonic() - start, 3),
+    }
+    return len(primes), report
+
+
 def cmd_scan(args) -> int:
     if args.min > args.max:
         raise InputError("scan range is empty the wrong way: min > max")
+    if args.max > MAX_PRIME:
+        raise InputError(f"scan max {args.max} exceeds the supported bound {MAX_PRIME}")
     if args.jobs < 1:
         raise InputError("jobs must be at least 1")
-    # Open the report first, so that an unusable path fails before the scan.
+    # Open the report before the scan, so that an unusable path fails first.
+    # Append mode leaves an existing file as it was until the report is
+    # written; a file created here is removed again if the scan fails.
+    existed = os.path.exists(args.output)
     try:
-        fh = open(args.output, "w", newline="" if args.format == "csv" else None)
+        fh = open(args.output, "a", newline="" if args.format == "csv" else None)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    with fh:
-        start = time.monotonic()
-        primes = primes_in_range(args.min, args.max, args.modulus)
-        tasks = [(p, args.all_n) for p in primes]
-        if args.jobs == 1 or len(tasks) <= 1:
-            batches = [_scan_one(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                batches = list(pool.map(_scan_one, tasks))
-        cert_dicts = [c for batch in batches for c in batch]
-        cert_dicts.sort(key=lambda c: (c["p"], c["n"] is not None, c["n"] or 0))
-        # jobs is execution detail, not content: the report must be byte-identical
-        # for any worker count (only runtime_seconds may differ between runs).
-        report = {
-            "config": {
-                "min": args.min,
-                "max": args.max,
-                "modulus": args.modulus,
-                "all_n": args.all_n,
-                "format": args.format,
-            },
-            "version": __version__,
-            "summary": _summarize(cert_dicts),
-            "certificates": cert_dicts,
-            "runtime_seconds": round(time.monotonic() - start, 3),
-        }
-        try:
-            if args.format == "csv":
-                _write_csv(fh, cert_dicts)
-            else:
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
-            fh.flush()
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        with fh:
+            n_primes, report = _scan_report(args)
+            try:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.seek(0)
+                    fh.truncate()
+                if args.format == "csv":
+                    _write_csv(fh, report["certificates"])
+                else:
+                    json.dump(report, fh, indent=2)
+                    fh.write("\n")
+                fh.flush()
+            except OSError as exc:
+                print(f"error: cannot write report: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+    except BaseException:
+        if not existed:
+            with contextlib.suppress(OSError):
+                os.remove(args.output)
+        raise
     summary = report["summary"]
-    print(f"scanned {len(primes)} primes, {summary['mismatches']} mismatches, "
+    print(f"scanned {n_primes} primes, {summary['mismatches']} mismatches, "
           f"{len(summary['discrepancy_flags'])} discrepancy flags, "
           f"report written to {args.output}")
     bad = summary["mismatches"] > 0 or summary["discrepancy_flags"]

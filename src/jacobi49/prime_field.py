@@ -104,12 +104,6 @@ class FieldContext:
     m: int
     classes: np.ndarray = field(repr=False, compare=False)
 
-    def f(self, e: int) -> int:
-        """The cofactor (p - 1) / e for a modulus e dividing p - 1."""
-        if (self.p - 1) % e != 0:
-            raise InputError(f"{e} does not divide p - 1 = {self.p - 1}")
-        return (self.p - 1) // e
-
     def classes_for(self, e: int) -> np.ndarray:
         """The class table, for characters of order e; e must divide m."""
         if self.m % e != 0:
@@ -179,8 +173,6 @@ def index_of(ctx: FieldContext, a: int) -> int:
 
 def is_seventh_power_residue(ctx: FieldContext, a: int) -> bool:
     """Whether a is a seventh power in F_p*; requires p = 1 (mod 7)."""
-    if (ctx.p - 1) % 7 != 0:
-        raise InputError("p must be 1 (mod 7)")
     r = a % ctx.p
     if r == 0:
         raise DomainError("index of 0 is undefined")

@@ -132,43 +132,21 @@ def verify_prime(p: int, gamma: int | None = None,
     if bad:
         raise InputError(f"n values out of range 1..48: {bad}")
     bundle = prepare_prime(p, gamma)
-    return _verify_bundle(bundle, ns, identities, *_prime_parts(bundle))
 
+    t1_ok = True if identities == "skip" else _identity_suite_ok(bundle.cyc49, identities == "sampled")
 
-def scan_prime(p: int, ns: tuple[int, ...]) -> list[Certificate]:
-    """The records of one prime in a scan: classify_prime(p), then, when
-    p = 1 (mod 49), verify_prime(p, ns=ns), all from one bundle."""
-    bundle = prepare_prime(p)
-    parts = _prime_parts(bundle)
-    coeffs1, _, actual1, classification = parts
-    certs = [_classification_certificate(bundle, classification, coeffs1, actual1)]
-    if bundle.dh49 is not None:
-        certs.extend(_verify_bundle(bundle, ns, "sampled", *parts))
-    return certs
-
-
-def _prime_parts(bundle: PrimeBundle):
-    """coeffs1, the direct J(1,1)_49 and its residue, and the classification.
-
-    The first three are None unless the bundle has the order-49 tables.
-    """
-    coeffs1 = direct1 = actual1 = None
-    if bundle.dh49 is not None:
-        coeffs1 = coeffs_by_definition(bundle.dh7, 1, s_value=s_direct(bundle.dh49, 1))
-        direct1 = jacobi_sum(bundle.ctx, 49, 1, 1)
-        actual1 = residue_mod_t8(direct1)
+    coeffs1 = coeffs_by_definition(bundle.dh7, 1, s_value=s_direct(bundle.dh49, 1))
+    direct1 = jacobi_sum(bundle.ctx, 49, 1, 1)
+    actual1 = residue_mod_t8(direct1)
     classification = artiad_mod.classify_from_parts(
         bundle.ctx, bundle.cyc7, bundle.sol, coeffs1=coeffs1, actual_residue=actual1,
         u_signed=bundle.recon.u_signed)
-    return coeffs1, direct1, actual1, classification
 
-
-def _verify_bundle(bundle: PrimeBundle, ns: tuple[int, ...], identities: str,
-                   coeffs1: CoefficientSet, direct1: CyclotomicInt, actual1: Residue8,
-                   classification: artiad_mod.Classification) -> list[Certificate]:
-    t1_ok = True if identities == "skip" else _identity_suite_ok(bundle.cyc49, identities == "sampled")
-    return [_certificate_for_n(bundle, n, classification, t1_ok, coeffs1, direct1, actual1)
-            for n in ns]
+    certs = []
+    for n in ns:
+        certs.append(_certificate_for_n(bundle, n, classification, t1_ok,
+                                        coeffs1, direct1, actual1))
+    return certs
 
 
 def _certificate_for_n(bundle: PrimeBundle, n: int,
@@ -266,14 +244,14 @@ def _certificate_for_n(bundle: PrimeBundle, n: int,
 def classify_prime(p: int, gamma: int | None = None) -> Certificate:
     """Classification-only certificate for p = 1 (mod 14); no congruence part."""
     bundle = prepare_prime(p, gamma)
-    coeffs1, _, actual1, classification = _prime_parts(bundle)
-    return _classification_certificate(bundle, classification, coeffs1, actual1)
+    coeffs1 = actual1 = None
+    if bundle.dh49 is not None:
+        coeffs1 = coeffs_by_definition(bundle.dh7, 1, s_value=s_direct(bundle.dh49, 1))
+        actual1 = residue_mod_t8(jacobi_sum(bundle.ctx, 49, 1, 1))
+    classification = artiad_mod.classify_from_parts(
+        bundle.ctx, bundle.cyc7, bundle.sol, coeffs1=coeffs1, actual_residue=actual1,
+        u_signed=bundle.recon.u_signed)
 
-
-def _classification_certificate(bundle: PrimeBundle,
-                                classification: artiad_mod.Classification,
-                                coeffs1: CoefficientSet | None,
-                                actual1: Residue8 | None) -> Certificate:
     discrepancies: list[str] = []
     if not bundle.recon.matched:
         discrepancies.append("order-7 table reconstruction from the sextuple failed")
@@ -300,7 +278,7 @@ def _classification_certificate(bundle: PrimeBundle,
         "three_path_agree": None,
     }
     return Certificate(
-        p=bundle.ctx.p, gamma=bundle.ctx.gamma, n=None,
+        p=p, gamma=bundle.ctx.gamma, n=None,
         predicted=None, actual=None, match=None,
         coeffs=coeffs_block, lw=bundle.sol, tu=bundle.tu,
         classification=classification, cross_checks=cross,

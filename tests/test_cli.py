@@ -3,8 +3,10 @@ import re
 
 import pytest
 
-from jacobi49.cli import _scan_one, main, primes_in_range
-from jacobi49.verify import classify_prime, verify_prime
+from jacobi49 import cli
+from jacobi49.cli import main, primes_in_range
+from jacobi49.errors import InputError
+from jacobi49.prime_field import MAX_PRIME
 
 
 def run_cli(capsys, *argv):
@@ -187,17 +189,52 @@ def test_scan_unwritable_output(capsys, kernel_calls):
     assert sum(kernel_calls.values()) == 0, kernel_calls
 
 
-@pytest.mark.parametrize("all_n", [False, True])
-def test_scan_builds_one_bundle_per_prime(kernel_calls, all_n):
-    # the records of classify_prime and verify_prime, from one class table
-    # and one direct J(1,1)_49
-    records = _scan_one((197, all_n))
-    assert kernel_calls["index_table"] == 1
-    assert kernel_calls["power_pair_hist"] == 1
-    assert sum(kernel_calls.values()) == 4, kernel_calls
-    want = [classify_prime(197).to_json()]
-    want += [c.to_json() for c in verify_prime(197, ns=None if all_n else (1,))]
-    assert records == want
+def _failing_scan_one(task):
+    raise InputError(f"injected failure at p = {task[0]}")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failing_scan_leaves_existing_report_intact(tmp_path, capsys, monkeypatch, fmt):
+    out_file = tmp_path / f"r.{fmt}"
+    out_file.write_text("earlier report\n")
+    monkeypatch.setattr(cli, "_scan_one", _failing_scan_one)
+    code, _, err = run_cli(capsys, "scan", "--min", "2", "--max", "300",
+                           "--modulus", "49", "--format", fmt, "--jobs", "1",
+                           "--output", str(out_file))
+    assert code == 2
+    assert "injected failure at p = 197" in err
+    assert out_file.read_text() == "earlier report\n"
+
+
+def test_failing_scan_leaves_no_new_file(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "r.json"
+    monkeypatch.setattr(cli, "_scan_one", _failing_scan_one)
+    code, _, _ = run_cli(capsys, "scan", "--min", "2", "--max", "300",
+                         "--modulus", "49", "--jobs", "1", "--output", str(out_file))
+    assert code == 2
+    assert not out_file.exists()
+
+
+def test_scan_overwrites_longer_report(tmp_path, capsys):
+    # the report replaces the old contents, it is not appended to them
+    out_file = tmp_path / "r.json"
+    out_file.write_text("x" * 100_000)
+    code, _, _ = run_cli(capsys, "scan", "--min", "300", "--max", "400",
+                         "--modulus", "49", "--output", str(out_file))
+    assert code == 0
+    assert json.loads(out_file.read_text())["certificates"] == []
+
+
+def test_scan_max_above_bound_rejected_first(tmp_path, capsys, kernel_calls):
+    out_file = tmp_path / "r.json"
+    out_file.write_text("earlier report\n")
+    code, _, err = run_cli(capsys, "scan", "--min", str(MAX_PRIME - 100),
+                           "--max", str(MAX_PRIME + 1), "--modulus", "49",
+                           "--output", str(out_file))
+    assert code == 2
+    assert "exceeds the supported bound" in err
+    assert sum(kernel_calls.values()) == 0, kernel_calls
+    assert out_file.read_text() == "earlier report\n"
 
 
 def test_scan_bad_config(capsys):
