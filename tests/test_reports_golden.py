@@ -1,0 +1,67 @@
+"""Byte-identity of the CLI reports, pinned as SHA-256 hashes.
+
+Every report is deterministic for a fixed configuration; the one field
+that varies between runs, runtime_seconds in a JSON scan report, is cut
+out before hashing.  A change to any certificate field, to the order of
+the records or to the serialisation changes a hash here, so a refactor
+that claims to leave the reports alone is checked by this file.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from jacobi49.cli import main
+
+GOLDEN = {
+    ("verify", "--prime", "197", "--all-n"):
+        "137da110a19f64750f6d8c3258295106d64ceb4e45c5e910865832f2373c7f9a",
+    ("verify", "--prime", "491", "--all-n"):
+        "e6d2115272113277c144b6b44a5cf87460259030418fbcc2738ca33a06f7cc2a",
+    ("verify", "--prime", "60271", "--all-n"):
+        "a0b48d0251813e8cbd73ebd451dd09d705b2fa55e2133eb0c503d804d535e90d",
+    ("classify", "--prime", "43"):
+        "2856e680daa20b97b8d0021f57e70056c366aa03c164164f5846388d05ac0e53",
+    ("classify", "--prime", "197"):
+        "a428fe093972cd00a546ab6609eb220d7aaa1b8c6808b00681cf16f7b78c8dcb",
+    ("classify", "--prime", "14197"):
+        "80e4a06f980acd1afc17269d2a9aa97dcc171c8b239d2e217d0ddee44eeaec1f",
+    ("classify", "--prime", "60271"):
+        "4e7e913b1502bd43dfcde72d6274c7b96f086bcf1b69da378236233e9080c26b",
+    ("classify", "--prime", "60271", "--generator", "33"):
+        "fc014009aad488afbaa3a6149c121bd87871a251002317ac95d2d9352df47afa",
+}
+
+SCAN = ("scan", "--min", "190", "--max", "2000", "--modulus", "49", "--all-n")
+
+GOLDEN_SCAN = {
+    "json": "7a184e9319c6e5221191c8de4ec875446c133a04cffb109e451024bc6a3fe062",
+    "csv": "ad7a3c4d8e14f0802ab66fe6f05c419c798d10d6645d39d795b4b50411d842ef",
+}
+
+_RUNTIME = re.compile(rb'\n *"runtime_seconds": [^\n]*')
+
+
+def stdout_digest(capsys, argv) -> str:
+    assert main(list(argv)) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def scan_digest(path, fmt) -> str:
+    assert main([*SCAN, "--format", fmt, "--output", str(path)]) == 0
+    data = path.read_bytes()
+    if fmt == "json":
+        data, n = _RUNTIME.subn(b"", data)
+        assert n == 1
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_report_bytes(capsys, argv):
+    assert stdout_digest(capsys, argv) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("fmt", list(GOLDEN_SCAN))
+def test_scan_report_bytes(tmp_path, capsys, fmt):
+    assert scan_digest(tmp_path / f"scan.{fmt}", fmt) == GOLDEN_SCAN[fmt]
