@@ -65,11 +65,9 @@ def cmd_classify(args) -> int:
 
 def _scan_one(task) -> list[dict]:
     p, all_n = task
+    certs = [classify_prime(p)]
     if (p - 1) % 49 == 0:
-        certs = [classify_prime(p)]
         certs.extend(verify_prime(p, ns=None if all_n else (1,)))
-    else:
-        certs = [classify_prime(p)]
     return [c.to_json() for c in certs]
 
 
@@ -124,7 +122,8 @@ def _scan_report(args) -> tuple[int, dict]:
     if args.jobs == 1 or len(tasks) <= 1:
         batches = [_scan_one(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # fork starts every worker at the first submit: no more than there is work
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             batches = list(pool.map(_scan_one, tasks))
     cert_dicts = [c for batch in batches for c in batch]
     cert_dicts.sort(key=lambda c: (c["p"], c["n"] is not None, c["n"] or 0))

@@ -78,11 +78,11 @@ class PrimeBundle:
     dh49: DicksonHurwitzTable | None = None
 
 
-def prepare_prime(p: int, gamma: int | None = None, order49: bool = True) -> PrimeBundle:
+def prepare_prime(p: int, gamma: int | None = None) -> PrimeBundle:
     """Build tables, extract the sextuple, and run the per-prime checks."""
-    ctx = build_ctx(p, gamma)
     if (p - 1) % 14 != 0:
         raise InputError(f"p = {p} is not 1 (mod 14)")
+    ctx = build_ctx(p, gamma)
     cyc7 = cyclotomic_numbers(ctx, 7)
     dh7 = dickson_hurwitz(cyc7)
     sol = solution_from_tables(dh7)
@@ -90,11 +90,31 @@ def prepare_prime(p: int, gamma: int | None = None, order49: bool = True) -> Pri
     recon = match_reconstruction(cyc7, sol, tu)
     dio = verify_diophantine(sol, p)
     cyc49 = dh49 = None
-    if order49 and (p - 1) % 49 == 0:
+    if (p - 1) % 49 == 0:
         cyc49 = cyclotomic_numbers(ctx, 49)
         dh49 = dickson_hurwitz(cyc49)
     return PrimeBundle(ctx=ctx, cyc7=cyc7, dh7=dh7, sol=sol, tu=tu,
                        recon=recon, dio=dio, cyc49=cyc49, dh49=dh49)
+
+
+@dataclass(frozen=True)
+class PrimeStep:
+    """The per-prime results that verify_prime and classify_prime share.
+
+    coeffs1 (the n = 1 coefficient set), direct1 (J(1,1)_49 summed
+    directly over F_p) and actual1 (its residue) are None unless
+    p = 1 (mod 49); identity_suite_ok is None where the suite did not run.
+    discrepancies are the bundle-level ones, carried by every certificate
+    of the prime.
+    """
+
+    bundle: PrimeBundle
+    classification: artiad_mod.Classification
+    coeffs1: CoefficientSet | None
+    direct1: CyclotomicInt | None
+    actual1: Residue8 | None
+    identity_suite_ok: bool | None
+    discrepancies: tuple[str, ...]
 
 
 def _sampled_pairs(e: int, k: int, seed: int) -> list[tuple[int, int]]:
@@ -103,65 +123,83 @@ def _sampled_pairs(e: int, k: int, seed: int) -> list[tuple[int, int]]:
     return rng.sample(pairs, k)
 
 
-def _identity_suite_ok(cyc49: CycNumberTable, sampled: bool) -> bool:
-    if sampled:
-        pairs = _sampled_pairs(49, 30, seed=cyc49.p)
-        abs_pairs = _sampled_pairs(49, 20, seed=cyc49.p + 1)
-        return not identity_suite(cyc49, pairs=pairs, abs_pairs=abs_pairs)
-    return not identity_suite(cyc49)
+def _prime_step(p: int, gamma: int | None, with_suite: bool) -> PrimeStep:
+    """Bundle, classification, n = 1 data and bundle-level discrepancies.
 
-
-def verify_prime(p: int, gamma: int | None = None,
-                 ns: tuple[int, ...] | None = None,
-                 identities: str = "sampled") -> list[Certificate]:
-    """Run the full congruence verification for each n; p must be 1 (mod 49).
-
-    identities: 'sampled' (default), 'full', or 'skip' controls how much of
-    the elementary-identity suite is stamped into the certificates.
-
-    Every Jacobi sum is read off the order-49 cyclotomic-number table
-    except J(1,1)_49, which is also summed directly over F_p once and
-    compared with the table at n = 1: that one pass checks the table kernel.
+    with_suite runs the identity suite on the order-49 table, on 30
+    sampled pairs and 20 sampled pairs for the modulus check.
     """
-    if (p - 1) % 49 != 0:
-        raise InputError(f"p = {p} is not 1 (mod 49)")
-    if identities not in ("sampled", "full", "skip"):
-        raise InputError(f"unknown identities mode {identities!r}")
-    ns = ALL_N if ns is None else tuple(ns)
-    bad = [n for n in ns if not 1 <= n <= 48]
-    if bad:
-        raise InputError(f"n values out of range 1..48: {bad}")
     bundle = prepare_prime(p, gamma)
-
-    t1_ok = True if identities == "skip" else _identity_suite_ok(bundle.cyc49, identities == "sampled")
-
-    coeffs1 = coeffs_by_definition(bundle.dh7, 1, s_value=s_direct(bundle.dh49, 1))
-    direct1 = jacobi_sum(bundle.ctx, 49, 1, 1)
-    actual1 = residue_mod_t8(direct1)
+    coeffs1 = direct1 = actual1 = suite_ok = None
+    if bundle.dh49 is not None:
+        coeffs1 = coeffs_by_definition(bundle.dh7, 1, s_value=s_direct(bundle.dh49, 1))
+        direct1 = jacobi_sum(bundle.ctx, 49, 1, 1)
+        actual1 = residue_mod_t8(direct1)
+        if with_suite:
+            suite_ok = not identity_suite(bundle.cyc49,
+                                          pairs=_sampled_pairs(49, 30, seed=p),
+                                          abs_pairs=_sampled_pairs(49, 20, seed=p + 1))
     classification = artiad_mod.classify_from_parts(
         bundle.ctx, bundle.cyc7, bundle.sol, coeffs1=coeffs1, actual_residue=actual1,
         u_signed=bundle.recon.u_signed)
 
-    certs = []
-    for n in ns:
-        certs.append(_certificate_for_n(bundle, n, classification, t1_ok,
-                                        coeffs1, direct1, actual1))
-    return certs
+    discrepancies: list[str] = []
+    if not bundle.recon.matched:
+        discrepancies.append("order-7 table reconstruction from the sextuple failed")
+    if not bundle.dio.norm:
+        discrepancies.append("sextuple fails the norm equation")
+    if suite_ok is False:
+        discrepancies.append("elementary Jacobi-sum identity suite failed")
+    ev = classification.evidence
+    if ev.via_x != ev.via_cubic:
+        discrepancies.append("artiad criteria disagree (x-test vs cubic roots)")
+    return PrimeStep(bundle=bundle, classification=classification, coeffs1=coeffs1,
+                     direct1=direct1, actual1=actual1, identity_suite_ok=suite_ok,
+                     discrepancies=tuple(discrepancies))
 
 
-def _certificate_for_n(bundle: PrimeBundle, n: int,
-                       classification: artiad_mod.Classification, t1_ok: bool,
-                       coeffs1: CoefficientSet, direct1: CyclotomicInt,
-                       actual1: Residue8) -> Certificate:
+def _cross_checks(step: PrimeStep, weak_ok: bool | None = None,
+                  three_path: bool | None = None) -> dict:
+    return {
+        "table_reconstruction": step.bundle.recon.to_json(),
+        "diophantine": step.bundle.dio.to_json(),
+        "identity_suite_ok": step.identity_suite_ok,
+        "weak_congruence_ok": weak_ok,
+        "three_path_agree": three_path,
+    }
+
+
+def verify_prime(p: int, gamma: int | None = None,
+                 ns: tuple[int, ...] | None = None) -> list[Certificate]:
+    """Run the full congruence verification for each n; p must be 1 (mod 49).
+
+    Every Jacobi sum is read off the order-49 cyclotomic-number table
+    except J(1,1)_49, which is also summed directly over F_p once and
+    compared with the table at n = 1: that one pass checks the table kernel.
+    The elementary-identity suite runs on the table at 30 sampled index
+    pairs, and its modulus check at 20 more.
+    """
+    if (p - 1) % 49 != 0:
+        raise InputError(f"p = {p} is not 1 (mod 49)")
+    ns = ALL_N if ns is None else tuple(ns)
+    bad = [n for n in ns if not 1 <= n <= 48]
+    if bad:
+        raise InputError(f"n values out of range 1..48: {bad}")
+    step = _prime_step(p, gamma, with_suite=True)
+    return [_certificate_for_n(step, n) for n in ns]
+
+
+def _certificate_for_n(step: PrimeStep, n: int) -> Certificate:
+    bundle = step.bundle
     ctx, sol, tu = bundle.ctx, bundle.sol, bundle.tu
     p = ctx.p
     discrepancies: list[str] = []
 
     via_cyc = jacobi_from_cyc(bundle.cyc49, 1, n)
     if n == 1:
-        coeffs = coeffs1
-        direct = direct1
-        actual = actual1
+        coeffs = step.coeffs1
+        direct = step.direct1
+        actual = step.actual1
     else:
         coeffs = coeffs_by_definition(bundle.dh7, n, s_value=s_direct(bundle.dh49, n))
         direct = via_cyc
@@ -210,77 +248,38 @@ def _certificate_for_n(bundle: PrimeBundle, n: int,
                 f"closed-form rows {list(adj.unexplained_rows)} fail beyond the "
                 f"known transcription defects")
 
-    if not bundle.recon.matched:
-        discrepancies.append("order-7 table reconstruction from the sextuple failed")
-    if not bundle.dio.norm:
-        discrepancies.append("sextuple fails the norm equation")
-    if not t1_ok:
-        discrepancies.append("elementary Jacobi-sum identity suite failed")
-    ev = classification.evidence
-    if ev.via_x != ev.via_cubic:
-        discrepancies.append("artiad criteria disagree (x-test vs cubic roots)")
-
     coeffs_block = {
         "definition": coeffs.to_json(),
         "closed_form": closed_json,
         "s_paths": {"direct": sd, "lemma": sl, "agree_mod7": s_agree},
     }
-    cross = {
-        "table_reconstruction": bundle.recon.to_json(),
-        "diophantine": bundle.dio.to_json(),
-        "identity_suite_ok": t1_ok,
-        "weak_congruence_ok": weak_ok,
-        "three_path_agree": three_path,
-    }
     return Certificate(
         p=p, gamma=ctx.gamma, n=n,
         predicted=predicted, actual=actual, match=match,
         coeffs=coeffs_block, lw=sol, tu=tu,
-        classification=classification, cross_checks=cross,
-        discrepancies=tuple(discrepancies),
+        classification=step.classification,
+        cross_checks=_cross_checks(step, weak_ok, three_path),
+        discrepancies=tuple(discrepancies) + step.discrepancies,
     )
 
 
 def classify_prime(p: int, gamma: int | None = None) -> Certificate:
     """Classification-only certificate for p = 1 (mod 14); no congruence part."""
-    bundle = prepare_prime(p, gamma)
-    coeffs1 = actual1 = None
-    if bundle.dh49 is not None:
-        coeffs1 = coeffs_by_definition(bundle.dh7, 1, s_value=s_direct(bundle.dh49, 1))
-        actual1 = residue_mod_t8(jacobi_sum(bundle.ctx, 49, 1, 1))
-    classification = artiad_mod.classify_from_parts(
-        bundle.ctx, bundle.cyc7, bundle.sol, coeffs1=coeffs1, actual_residue=actual1,
-        u_signed=bundle.recon.u_signed)
-
-    discrepancies: list[str] = []
-    if not bundle.recon.matched:
-        discrepancies.append("order-7 table reconstruction from the sextuple failed")
-    if not bundle.dio.norm:
-        discrepancies.append("sextuple fails the norm equation")
-    ev = classification.evidence
-    if ev.via_x != ev.via_cubic:
-        discrepancies.append("artiad criteria disagree (x-test vs cubic roots)")
-
+    step = _prime_step(p, gamma, with_suite=False)
+    bundle, coeffs1 = step.bundle, step.coeffs1
+    sl = s_lemma(bundle.cyc7, 1)
     coeffs_block = {
         "definition": coeffs1.to_json() if coeffs1 is not None
         else coeffs_by_definition(bundle.dh7, 1).to_json(),
         "closed_form": None,
         "s_paths": {"direct": None if coeffs1 is None else coeffs1.s_value,
-                    "lemma": s_lemma(bundle.cyc7, 1),
-                    "agree_mod7": None if coeffs1 is None
-                    else s_lemma(bundle.cyc7, 1) == coeffs1.s_value % 7},
-    }
-    cross = {
-        "table_reconstruction": bundle.recon.to_json(),
-        "diophantine": bundle.dio.to_json(),
-        "identity_suite_ok": None,
-        "weak_congruence_ok": None,
-        "three_path_agree": None,
+                    "lemma": sl,
+                    "agree_mod7": None if coeffs1 is None else sl == coeffs1.s_value % 7},
     }
     return Certificate(
         p=p, gamma=bundle.ctx.gamma, n=None,
         predicted=None, actual=None, match=None,
         coeffs=coeffs_block, lw=bundle.sol, tu=bundle.tu,
-        classification=classification, cross_checks=cross,
-        discrepancies=tuple(discrepancies),
+        classification=step.classification, cross_checks=_cross_checks(step),
+        discrepancies=step.discrepancies,
     )

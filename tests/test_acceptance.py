@@ -65,7 +65,7 @@ def sweep14():
     """Light per-prime data for every p = 1 (mod 14) below 10000."""
     if not _SWEEP14:
         for p in P14_10000:
-            b = prepare_prime(p, order49=False)
+            b = prepare_prime(p)
             _SWEEP14[p] = {
                 "bundle": b,
                 "via_x": classify_via_x(b.sol),
@@ -96,7 +96,7 @@ def test_criterion_1_main_congruence(verified):
 def test_criterion_2_elementary_identity_suite():
     ok = True
     for p in (29, 43, 71, 113, 127):
-        fails = identity_suite(prepare_prime(p, order49=False).cyc7)
+        fails = identity_suite(prepare_prime(p).cyc7)
         if fails:
             ok = False
     import random
@@ -115,7 +115,7 @@ def test_criterion_2_elementary_identity_suite():
 def test_criterion_3_fourier_duality():
     ok = True
     for p in (29, 113):
-        cyc = cyclotomic_numbers(prepare_prime(p, order49=False).ctx, 7)
+        cyc = cyclotomic_numbers(prepare_prime(p).ctx, 7)
         all_j = {(i, j): jacobi_from_cyc(cyc, i, j)
                  for i in range(7) for j in range(7)}
         for a in range(7):
@@ -222,7 +222,7 @@ def hunt_first_artiad_mod49(start=20000, stop=10**6, step=20000):
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
         for p in primes_in_range(lo + 1, hi, 49):
-            b = prepare_prime(p, order49=False)
+            b = prepare_prime(p)
             if classify_via_x(b.sol):
                 return p
     return None
@@ -273,7 +273,7 @@ def test_criterion_8_artiad_structure(verified, first_artiad):
     assert not any(v[0].classification.evidence.via_x for v in verified.values()), \
         "no artiad prime = 1 (mod 49) exists below 20000"
     assert first_artiad is not None
-    cert = verify_prime(first_artiad, ns=(1,), identities="skip")[0]
+    cert = verify_prime(first_artiad, ns=(1,))[0]
     ev = cert.classification.evidence
     ok = (cert.classification.kind == "artiad"
           and cert.match
@@ -308,7 +308,7 @@ def test_criterion_8_artiad_simplified_form_as_stated(first_artiad):
     """
     p = first_artiad
     b = prepare_prime(p)
-    cert = verify_prime(p, ns=(1,), identities="skip")[0]
+    cert = verify_prime(p, ns=(1,))[0]
     ev = cert.classification.evidence
     c6 = cert.coeffs["definition"]["c1_to_c6"][5]
     x5 = cert.lw.x5
@@ -359,7 +359,7 @@ def test_criterion_8_stated_t7_slip_all_generator_classes():
     failed = []
     # the list is complete: none lies below 20000 (criterion 8 structure)
     scanned = [p for p in primes_in_range(20001, ARTIAD_MOD49[-1], 49)
-               if classify_via_x(prepare_prime(p, order49=False).sol)]
+               if classify_via_x(prepare_prime(p).sol)]
     if tuple(scanned) != ARTIAD_MOD49:
         failed.append(("artiad primes = 1 (mod 49) in (20000, 126127]", scanned))
     for p in ARTIAD_MOD49:
@@ -368,7 +368,7 @@ def test_criterion_8_stated_t7_slip_all_generator_classes():
         for r in range(1, 7):
             k = next(k for k in range(r, p, 7) if math.gcd(k, p - 1) == 1)
             gamma = pow(g, k, p)
-            cert = verify_prime(p, gamma=gamma, ns=(1,), identities="skip")[0]
+            cert = verify_prime(p, gamma=gamma, ns=(1,))[0]
             ev = cert.classification.evidence
             adj = cert.coeffs["closed_form"]["adjudication"]
             c6 = cert.coeffs["definition"]["c1_to_c6"][5]

@@ -175,7 +175,7 @@ def test_theorem3_on_first_artiad_mod49(bundle):
     reduces to -3 c6 + 3 ind7 here, does reproduce it.
     """
     p = FIRST_ARTIAD_MOD49
-    cert = verify_prime(p, ns=(1,), identities="skip")[0]
+    cert = verify_prime(p, ns=(1,))[0]
     assert cert.classification.kind == "artiad"
     ev = cert.classification.evidence
     assert cert.match and not cert.discrepancies   # the determining congruence

@@ -142,6 +142,30 @@ def test_scan_deterministic_across_jobs(tmp_path, capsys):
     assert strip(f1.read_text()) == strip(f2.read_text())
 
 
+def test_scan_pool_sized_to_the_work(tmp_path, capsys, monkeypatch):
+    # A stub pool that records its size and maps inline: no process starts.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    code, _, _ = run_cli(capsys, "scan", "--min", "190", "--max", "500", "--modulus", "49",
+                         "--output", str(tmp_path / "r.json"), "--jobs", "64")
+    assert code == 0
+    assert sizes == [2]  # 197 and 491
+
+
 def test_scan_modulus_14_classifies(tmp_path, capsys):
     out_file = tmp_path / "r.json"
     code, _, _ = run_cli(capsys, "scan", "--min", "2", "--max", "250",

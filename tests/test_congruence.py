@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-from jacobi49 import _kernels
-from jacobi49.cli import primes_in_range
+from jacobi49 import _kernels, cyclotomy, verify
+from jacobi49.cli import main, primes_in_range
 from jacobi49.congruence import (SIX_CLASS_REPS, adjudicate_closed_forms,
                                  c7_closed_form_fitted, coeffs_by_definition,
                                  coeffs_closed_form, lambda_pair, lambda_single,
                                  predicted_residue, s_direct, s_lemma)
-from jacobi49.cyclotomic_ring import residue8, residue_mod_t8
+from jacobi49.cyclotomic_ring import CyclotomicInt, residue8, residue_mod_t8
 from jacobi49.cyclotomy import jacobi_sum, six_class
 from jacobi49.errors import InputError
 from jacobi49.verify import classify_prime, verify_prime
@@ -117,13 +117,13 @@ def test_divisibility_anchor(bundle):
 
 
 def test_verify_prime_multiple_of_seven_branch(bundle):
-    certs = verify_prime(197, ns=(7,), identities="skip")
+    certs = verify_prime(197, ns=(7,))
     assert certs[0].actual == residue8(6, 0, 0, 0, 0, 0, 0, 0)
     assert certs[0].match
 
 
 def test_verify_prime_n1(bundle):
-    cert = verify_prime(197, ns=(1,), identities="skip")[0]
+    cert = verify_prime(197, ns=(1,))[0]
     assert cert.match and not cert.discrepancies
     assert cert.predicted.coeffs[0] == 6
     assert cert.coeffs["s_paths"]["agree_mod7"]
@@ -132,7 +132,7 @@ def test_verify_prime_n1(bundle):
 
 
 def test_verify_prime_full_n_small(bundle):
-    certs = verify_prime(491, identities="skip")
+    certs = verify_prime(491)
     assert len(certs) == 48
     assert all(c.match and not c.discrepancies for c in certs)
 
@@ -152,16 +152,15 @@ def test_actual_residue_taken_from_direct_sum(bundle):
     # the certificate's actual residue, read off the table for n != 1,
     # is the direct character sum's image
     b = bundle(197)
-    cert = verify_prime(197, ns=(5,), identities="skip")[0]
+    cert = verify_prime(197, ns=(5,))[0]
     assert cert.actual == residue_mod_t8(jacobi_sum(b.ctx, 49, 1, 5))
 
 
-@pytest.mark.parametrize("identities", ["sampled", "full"])
-def test_verify_prime_passes_over_field(kernel_calls, identities):
+def test_verify_prime_passes_over_field(kernel_calls):
     # Every J(i,j)_49 is read off the pair-count table; the only direct
     # character sum per prime is J(1,1)_49, the check on that table.  The
     # cubic's roots come in closed form.
-    certs = verify_prime(197, identities=identities)
+    certs = verify_prime(197)
     assert all(c.match and not c.discrepancies for c in certs)
     assert sum(kernel_calls.values()) <= 4, kernel_calls
     assert kernel_calls["power_pair_hist"] == 1
@@ -190,6 +189,58 @@ def test_direct_sum_catches_a_wrong_table(monkeypatch):
         return counts
 
     monkeypatch.setattr(_kernels, "pair_counts", shifted)
-    cert = verify_prime(197, ns=(1,), identities="skip")[0]
+    cert = verify_prime(197, ns=(1,))[0]
     assert "Jacobi sum paths disagree at n = 1" in cert.discrepancies
     assert cert.cross_checks["three_path_agree"] is False
+    # the sampled identity suite reads the same table and catches it too
+    assert cert.cross_checks["identity_suite_ok"] is False
+    assert "elementary Jacobi-sum identity suite failed" in cert.discrepancies
+
+
+def test_bad_class_rejected_before_the_table(kernel_calls, capsys):
+    # 9999973 is prime but not 1 (mod 14): no O(p) work before the refusal
+    with pytest.raises(InputError):
+        classify_prime(9999973)
+    assert sum(kernel_calls.values()) == 0, kernel_calls
+    assert main(["classify", "--prime", "9999973"]) == 2
+    assert "not 1 (mod 14)" in capsys.readouterr().err
+    assert sum(kernel_calls.values()) == 0, kernel_calls
+
+
+@pytest.mark.parametrize("p", [197, 60271])
+def test_verify_and_classify_share_one_step(p):
+    # classify and verify read one classification, sextuple, t/u pair and
+    # per-prime checks; classify's S(1) paths are verify's at n = 1
+    cls = classify_prime(p).to_json()
+    certs = [c.to_json() for c in verify_prime(p)]
+    for cert in certs:
+        for key in ("classification", "lw", "tu"):
+            assert cert[key] == cls[key], (cert["n"], key)
+        for key in ("table_reconstruction", "diophantine"):
+            assert cert["cross_checks"][key] == cls["cross_checks"][key], (cert["n"], key)
+    assert certs[0]["n"] == 1
+    assert certs[0]["coeffs"]["s_paths"] == cls["coeffs"]["s_paths"]
+
+
+def test_verify_prime_products(monkeypatch):
+    # The identity suite checks J itself, with no chi^i(-1) factors: the
+    # only products left are the |J|^2 = p checks on 20 sampled pairs.
+    calls = {"mul": 0, "jacobi_from_cyc": 0}
+    real_mul = CyclotomicInt.__mul__
+    real_from_cyc = cyclotomy.jacobi_from_cyc
+
+    def mul(self, other):
+        calls["mul"] += 1
+        return real_mul(self, other)
+
+    def from_cyc(*args):
+        calls["jacobi_from_cyc"] += 1
+        return real_from_cyc(*args)
+
+    monkeypatch.setattr(CyclotomicInt, "__mul__", mul)
+    monkeypatch.setattr(cyclotomy, "jacobi_from_cyc", from_cyc)
+    monkeypatch.setattr(verify, "jacobi_from_cyc", from_cyc)
+    certs = verify_prime(197)
+    assert all(c.match and not c.discrepancies for c in certs)
+    assert calls["mul"] <= 20, calls
+    assert calls["jacobi_from_cyc"] == 389, calls

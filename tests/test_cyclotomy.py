@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from jacobi49.cyclotomic_ring import apply_automorphism
-from jacobi49.cyclotomy import (check_dh_identities, check_symmetries,
-                                chi_at_minus_one, cyc_from_jacobi, cyclotomic_numbers,
+from jacobi49.cyclotomy import (CycNumberTable, check_dh_identities, check_symmetries,
+                                cyc_from_jacobi, cyclotomic_numbers,
                                 dickson_hurwitz, jacobi_from_cyc, jacobi_six_class,
                                 jacobi_sum, jacobi_sum_variant, jacobi_via_dh,
                                 six_class, identity_suite)
@@ -74,16 +75,17 @@ def test_direct_vs_fourier_sampled_e49(bundle):
 
 @pytest.mark.parametrize("p", [197, 491])
 def test_table_and_direct_kernels_agree_all_pairs_e49(bundle, p):
-    # The pipeline reads every J(i,j)_49 off the table, and the 1-v
-    # convention as chi^i(-1) J(i,j); both rest on these equalities.
+    # The pipeline reads every J(i,j)_49 off the table, and the identity
+    # suite takes the 1-v convention to be J(i,j) itself: (p-1)/2 = 0
+    # (mod 49), so chi^i(-1) = 1.  Both rest on these equalities.
+    assert (p - 1) // 2 % 49 == 0
     ctx = bundle(p).ctx
     cyc = bundle(p).cyc49
     for i in range(49):
         for j in range(49):
             direct = jacobi_sum(ctx, 49, i, j)
             assert jacobi_from_cyc(cyc, i, j) == direct, (i, j)
-            assert jacobi_sum_variant(ctx, 49, i, j) == \
-                chi_at_minus_one(ctx, 49, i) * direct, (i, j)
+            assert jacobi_sum_variant(ctx, 49, i, j) == direct, (i, j)
 
 
 def test_fourier_inversion_roundtrip_e7(bundle):
@@ -150,6 +152,13 @@ def test_three_paths_agree(bundle, p, e, j):
 def test_identity_suite_full_small_primes(bundle):
     for p in (29, 43):
         assert identity_suite(bundle(p).cyc7) == []
+
+
+def test_identity_suite_refuses_odd_cofactor():
+    # (p - 1)/e odd cannot happen for odd e | p - 1; a table claiming it is wrong
+    cyc = CycNumberTable(e=2, p=7, gamma=3, counts=np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(InvariantViolation):
+        identity_suite(cyc)
 
 
 def test_jacobi_six_class_differs_from_cyclotomic_class():
