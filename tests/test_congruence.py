@@ -9,7 +9,7 @@ from jacobi49.congruence import (SIX_CLASS_REPS, adjudicate_closed_forms,
                                  coeffs_closed_form, lambda_pair, lambda_single,
                                  predicted_residue, s_direct, s_lemma)
 from jacobi49.cyclotomic_ring import CyclotomicInt, residue8, residue_mod_t8
-from jacobi49.cyclotomy import jacobi_sum, six_class
+from jacobi49.cyclotomy import identity_suite, jacobi_sum, six_class
 from jacobi49.errors import InputError
 from jacobi49.verify import classify_prime, verify_prime
 
@@ -156,16 +156,23 @@ def test_actual_residue_taken_from_direct_sum(bundle):
     assert cert.actual == residue_mod_t8(jacobi_sum(b.ctx, 49, 1, 5))
 
 
-def test_verify_prime_passes_over_field(kernel_calls):
+@pytest.mark.parametrize("identities", ["sampled", "full"])
+def test_verify_prime_passes_over_field(kernel_calls, bundle, identities):
     # Every J(i,j)_49 is read off the pair-count table; the only direct
     # character sum per prime is J(1,1)_49, the check on that table.  The
-    # cubic's roots come in closed form.
+    # cubic's roots come in closed form.  The identity suite over all
+    # 49 x 49 pairs of the same table holds too, with no pass over F_p.
     certs = verify_prime(197)
     assert all(c.match and not c.discrepancies for c in certs)
     assert sum(kernel_calls.values()) <= 4, kernel_calls
     assert kernel_calls["power_pair_hist"] == 1
     assert kernel_calls["power_pair_hist_variant"] == 0
     assert kernel_calls["cubic_roots"] == 0
+    if identities == "full":
+        table = bundle(197).cyc49
+        before = dict(kernel_calls)
+        assert identity_suite(table) == []
+        assert kernel_calls == before
 
 
 def test_classify_prime_passes_over_field(kernel_calls):
