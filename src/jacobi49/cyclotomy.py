@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .cyclotomic_ring import CyclotomicInt, apply_automorphism
+from .cyclotomic_ring import CyclotomicInt
 from .errors import InvariantViolation, UnsupportedCase
 from .prime_field import FieldContext
 
@@ -150,42 +150,34 @@ def jacobi_via_dh(dh: DicksonHurwitzTable, j: int) -> CyclotomicInt:
     return CyclotomicInt(dh.e, [int(dh.B[i, j % dh.e]) for i in range(dh.e)])
 
 
+def _class_images(e, i, j):
+    """The six images of the index pair (i,j) under the even-f symmetries.
+
+    Works elementwise when i and j are index arrays.
+    """
+    return ((i % e, j % e), (j % e, i % e), ((i - j) % e, -j % e),
+            ((j - i) % e, -i % e), (-i % e, (j - i) % e), (-j % e, (i - j) % e))
+
+
 def six_class(e: int, i: int, j: int) -> set[tuple[int, int]]:
     """The symmetry class of the cyclotomic number (i,j)_e when f is even."""
-    return {
-        (i % e, j % e),
-        (j % e, i % e),
-        ((i - j) % e, -j % e),
-        ((j - i) % e, -i % e),
-        (-i % e, (j - i) % e),
-        (-j % e, (i - j) % e),
-    }
-
-
-def jacobi_six_class(e: int, i: int, j: int) -> set[tuple[int, int]]:
-    """The index pairs sharing the same Jacobi sum when f is even."""
-    return {
-        (i % e, j % e),
-        (j % e, i % e),
-        ((-i - j) % e, j % e),
-        (j % e, (-i - j) % e),
-        ((-i - j) % e, i % e),
-        (i % e, (-i - j) % e),
-    }
+    return set(_class_images(e, i, j))
 
 
 def check_symmetries(cyc: CycNumberTable) -> list[str]:
     """Verify the even-f symmetry classes and the total count; return failures."""
-    e, p = cyc.e, cyc.p
+    e, p, counts = cyc.e, cyc.p, cyc.counts
     problems = []
-    if int(cyc.counts.sum()) != p - 2:
-        problems.append(f"total {int(cyc.counts.sum())} != p - 2")
-    for i in range(e):
-        for j in range(e):
-            base = cyc.cell(i, j)
-            for (a, b) in six_class(e, i, j):
-                if cyc.cell(a, b) != base:
-                    problems.append(f"({i},{j}) class broken at ({a},{b})")
+    if int(counts.sum()) != p - 2:
+        problems.append(f"total {int(counts.sum())} != p - 2")
+    broken = np.zeros((e, e), dtype=bool)
+    for a, b in _class_images(e, *np.indices((e, e)))[1:]:
+        broken |= counts[a, b] != counts
+    for i, j in zip(*np.nonzero(broken)):
+        i, j = int(i), int(j)
+        for (a, b) in six_class(e, i, j):
+            if cyc.cell(a, b) != cyc.cell(i, j):
+                problems.append(f"({i},{j}) class broken at ({a},{b})")
     return problems
 
 
@@ -216,62 +208,45 @@ def check_dh_identities(dh: DicksonHurwitzTable) -> list[str]:
     return problems
 
 
-def identity_suite(cyc: CycNumberTable, pairs=None, abs_pairs=None) -> list[str]:
-    """Exercise the elementary Jacobi-sum identities; return a list of failures.
+def identity_suite(cyc: CycNumberTable) -> list[str]:
+    """Check the elementary Jacobi-sum identities at every index pair; return failures.
 
-    Every J(i,j)_e is read off the cyclotomic-number table by the Fourier
-    direction (jacobi_from_cyc) and cached per pair, so the suite makes no
-    pass over F_p: it checks that the table is consistent with the
-    identities, while the direct character sum that checks the table
-    itself runs once per prime in the verification pipeline.  With f
-    even, chi^i(-1) = 1, so the identities hold for J itself; the six-class
-    check of a pair contains the symmetry J(i,j) = J(j,i) and the index
-    shuffle J(i,j) = J(-i-j,i).
+    Each J(i,j)_e is the Fourier transform of the table (jacobi_from_cyc),
+    and the transform inverts exactly (cyc_from_jacobi).  So J(0,0) = p - 2
+    and the Jacobi six-class identities J(i,j) = J(j,i) = J(-i-j,j) = ...
+    at all e^2 pairs say the same as: the cells sum to p - 2 and obey the
+    even-f symmetry classes, which check_symmetries tests on the table
+    itself.  The six class of (i,i) contains J(i,i) = J(-2i,i) = J(i,-2i).
 
-    pairs: index pairs for the structural identities (default: all e*e).
-    abs_pairs: pairs for the modulus check J * sigma_-1(J) = p (default: same).
-    The verification pipeline passes 30 and 20 sampled pairs.
+    For every table and every unit s, J(si,sj) = sigma_s(J(i,j)), and
+    sigma_s fixes -1 and commutes with complex conjugation.  With the six
+    classes checked, J(0,d) = -1 at each proper divisor d of e then gives
+    J(0,j) = J(i,0) = J(i,-i) = -1 everywhere, and |J|^2 = p at the pairs
+    (d, d*m), m = 1..e/d - 2, gives it at every pair with i, j and i + j
+    nonzero: a pair whose first index is not a unit swaps to one whose is,
+    or is a unit multiple of some (d, d*m).
+
+    With f even, chi^i(-1) = 1, so the identities hold for J itself.  The
+    suite makes no pass over F_p; the direct sum that checks the table
+    runs once per prime in the verification pipeline.
     """
     e, p = cyc.e, cyc.p
     if ((p - 1) // e) % 2 != 0:
         raise InvariantViolation(f"the cofactor (p - 1)/{e} is odd at p = {p}")
-    if pairs is None:
-        pairs = [(i, j) for i in range(e) for j in range(e)]
-    if abs_pairs is None:
-        abs_pairs = pairs
-    failures = []
-    jacobi_cache: dict[tuple[int, int], CyclotomicInt] = {}
+    failures = check_symmetries(cyc)
+    divisors = [d for d in range(1, e) if e % d == 0]
+    for d in divisors:
+        if jacobi_from_cyc(cyc, 0, d) != -1:
+            failures.append(f"one-zero identity fails at (0,{d})")
 
-    def jacobi(i, j):
-        key = (i % e, j % e)
-        if key not in jacobi_cache:
-            jacobi_cache[key] = jacobi_from_cyc(cyc, *key)
-        return jacobi_cache[key]
-
-    for (i, j) in pairs:
-        jj = jacobi(i, j)
-        if i % e == 0 and j % e == 0:
-            if jj != p - 2:
-                failures.append(f"J(chi^0,chi^0) != p - 2 at ({i},{j})")
-        elif (i % e == 0) != (j % e == 0):
-            if jj != -1:
-                failures.append(f"one-zero identity fails at ({i},{j})")
-        elif (i + j) % e == 0:
-            if jj != -1:
-                failures.append(f"opposite-pair identity fails at ({i},{j})")
-        for (a, b) in jacobi_six_class(e, i, j):
-            if jacobi(a, b) != jj:
-                failures.append(f"Jacobi six-class symmetry fails at ({i},{j})")
-                break
-
-    for (i, j) in abs_pairs:
-        if i % e and j % e and (i + j) % e:
-            jj = jacobi(i, j)
-            if jj * apply_automorphism(jj, -1) != p:
-                failures.append(f"|J|^2 != p at ({i},{j})")
-
-    for i in range(1, e):
-        jii = jacobi(i, i)
-        if not (jii == jacobi(-2 * i, i) == jacobi(i, -2 * i)):
-            failures.append(f"J(i,i) = J(-2i,i) = J(i,-2i) fails at i={i}")
+    reps = [(d, d * m) for d in divisors for m in range(1, e // d - 1)]
+    x = np.array([jacobi_from_cyc(cyc, i, j).coeffs for i, j in reps], dtype=np.int64)
+    # Coefficient k of J * sigma_-1(J) is sum_a x_a x_(a-k).  From p - 2
+    # counts the canonical coefficients have absolute sum at most 2p, so
+    # int64 is exact for p below 10^9.
+    k = np.arange(e)
+    norms = np.einsum("ra,rka->rk", x, x[:, (k[None, :] - k[:, None]) % e])
+    for (i, j), row in zip(reps, norms):
+        if CyclotomicInt(e, row.tolist()) != p:
+            failures.append(f"|J|^2 != p at ({i},{j})")
     return failures

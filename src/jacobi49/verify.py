@@ -9,7 +9,6 @@ coeffs.closed_form, not as discrepancies, so a nonempty discrepancy list
 always means something is actually wrong.
 """
 
-import random
 from dataclasses import dataclass, field
 
 from . import artiad as artiad_mod
@@ -117,17 +116,11 @@ class PrimeStep:
     discrepancies: tuple[str, ...]
 
 
-def _sampled_pairs(e: int, k: int, seed: int) -> list[tuple[int, int]]:
-    rng = random.Random(seed)
-    pairs = [(i, j) for i in range(e) for j in range(e)]
-    return rng.sample(pairs, k)
-
-
 def _prime_step(p: int, gamma: int | None, with_suite: bool) -> PrimeStep:
     """Bundle, classification, n = 1 data and bundle-level discrepancies.
 
-    with_suite runs the identity suite on the order-49 table, on 30
-    sampled pairs and 20 sampled pairs for the modulus check.
+    with_suite runs the identity suite, at every index pair, on the
+    order-49 table.
     """
     bundle = prepare_prime(p, gamma)
     coeffs1 = direct1 = actual1 = suite_ok = None
@@ -136,9 +129,7 @@ def _prime_step(p: int, gamma: int | None, with_suite: bool) -> PrimeStep:
         direct1 = jacobi_sum(bundle.ctx, 49, 1, 1)
         actual1 = residue_mod_t8(direct1)
         if with_suite:
-            suite_ok = not identity_suite(bundle.cyc49,
-                                          pairs=_sampled_pairs(49, 30, seed=p),
-                                          abs_pairs=_sampled_pairs(49, 20, seed=p + 1))
+            suite_ok = not identity_suite(bundle.cyc49)
     classification = artiad_mod.classify_from_parts(
         bundle.ctx, bundle.cyc7, bundle.sol, coeffs1=coeffs1, actual_residue=actual1,
         u_signed=bundle.recon.u_signed)
@@ -176,8 +167,7 @@ def verify_prime(p: int, gamma: int | None = None,
     Every Jacobi sum is read off the order-49 cyclotomic-number table
     except J(1,1)_49, which is also summed directly over F_p once and
     compared with the table at n = 1: that one pass checks the table kernel.
-    The elementary-identity suite runs on the table at 30 sampled index
-    pairs, and its modulus check at 20 more.
+    The elementary-identity suite runs on the same table at every index pair.
     """
     if (p - 1) % 49 != 0:
         raise InputError(f"p = {p} is not 1 (mod 49)")

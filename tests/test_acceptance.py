@@ -99,16 +99,11 @@ def test_criterion_2_elementary_identity_suite():
         fails = identity_suite(prepare_prime(p).cyc7)
         if fails:
             ok = False
-    import random
     for p in (197, 491):
-        cyc49 = prepare_prime(p).cyc49
-        rng = random.Random(p)
-        allp = [(i, j) for i in range(49) for j in range(49)]
-        fails = identity_suite(cyc49, pairs=allp, abs_pairs=rng.sample(allp, 50))
-        if fails:
+        if identity_suite(prepare_prime(p).cyc49):
             ok = False
-    report(2, ok, "orders 7 (5 primes, all pairs) and 49 (2 primes, all pairs, "
-                  "50-sample modulus check)")
+    report(2, ok, "orders 7 (5 primes) and 49 (2 primes), all pairs, "
+                  "modulus check included")
     assert ok
 
 

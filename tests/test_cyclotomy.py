@@ -1,14 +1,50 @@
+import random
+
 import numpy as np
 import pytest
 
 from jacobi49.cyclotomic_ring import apply_automorphism
 from jacobi49.cyclotomy import (CycNumberTable, check_dh_identities, check_symmetries,
                                 cyc_from_jacobi, cyclotomic_numbers,
-                                dickson_hurwitz, jacobi_from_cyc, jacobi_six_class,
+                                dickson_hurwitz, jacobi_from_cyc,
                                 jacobi_sum, jacobi_sum_variant, jacobi_via_dh,
                                 six_class, identity_suite)
 from jacobi49.errors import InputError, InvariantViolation
 from jacobi49.prime_field import build_ctx
+
+
+def jacobi_six_class(e: int, i: int, j: int) -> set[tuple[int, int]]:
+    """The index pairs sharing the same Jacobi sum when f is even."""
+    return {
+        (i % e, j % e),
+        (j % e, i % e),
+        ((-i - j) % e, j % e),
+        (j % e, (-i - j) % e),
+        ((-i - j) % e, i % e),
+        (i % e, (-i - j) % e),
+    }
+
+
+def all_pairs_oracle(cyc) -> bool:
+    """The identity suite written out: every J(i,j)_e formed and checked.
+
+    J(0,0) = p - 2, J = -1 at one-zero and opposite pairs, the Jacobi six
+    class of every pair, and J * sigma_-1(J) = p at every other pair.
+    """
+    e, p = cyc.e, cyc.p
+    J = {(i, j): jacobi_from_cyc(cyc, i, j) for i in range(e) for j in range(e)}
+    for (i, j), jj in J.items():
+        if i == j == 0:
+            if jj != p - 2:
+                return False
+        elif i == 0 or j == 0 or (i + j) % e == 0:
+            if jj != -1:
+                return False
+        elif jj * apply_automorphism(jj, -1) != p:
+            return False
+        if any(J[ab] != jj for ab in jacobi_six_class(e, i, j)):
+            return False
+    return True
 
 
 @pytest.mark.parametrize("p,e", [(29, 7), (113, 7), (197, 49)])
@@ -150,8 +186,93 @@ def test_three_paths_agree(bundle, p, e, j):
 
 
 def test_identity_suite_full_small_primes(bundle):
-    for p in (29, 43):
-        assert identity_suite(bundle(p).cyc7) == []
+    for cyc in (bundle(29).cyc7, bundle(43).cyc7, bundle(197).cyc49, bundle(491).cyc49):
+        assert identity_suite(cyc) == []
+        assert all_pairs_oracle(cyc)
+
+
+def _with_counts(cyc, counts):
+    return CycNumberTable(e=cyc.e, p=cyc.p, gamma=cyc.gamma, counts=counts)
+
+
+def test_identity_suite_checks_the_modulus_off_the_galois_representatives(bundle):
+    # Shift one count from each cell of the class of (3,11) to the cell of
+    # the class of (-3,-11) it negates.  Both classes stay uniform, so the
+    # total, every six-class symmetry and every row and column sum hold,
+    # and so do all linear identities; (3,11) is not one of the pairs
+    # (d, d*m) the modulus is checked at, but it is a unit multiple of one.
+    cyc = bundle(197).cyc49
+    counts = cyc.counts.copy()
+    cls = six_class(49, 3, 11)
+    assert cls.isdisjoint(six_class(49, -3, -11))
+    for (a, b) in cls:
+        counts[a, b] -= 1
+        counts[-a % 49, -b % 49] += 1
+    bad = _with_counts(cyc, counts)
+    assert check_symmetries(bad) == []
+    assert (counts.sum(axis=0) == cyc.counts.sum(axis=0)).all()
+    assert (counts.sum(axis=1) == cyc.counts.sum(axis=1)).all()
+    fails = identity_suite(bad)
+    assert fails and all(f.startswith("|J|^2 != p at ") for f in fails), fails
+    assert not all_pairs_oracle(bad)
+
+
+def check_symmetries_by_cell(cyc) -> list[str]:
+    """check_symmetries as a loop over every cell: the reference for its array form."""
+    problems = []
+    if int(cyc.counts.sum()) != cyc.p - 2:
+        problems.append(f"total {int(cyc.counts.sum())} != p - 2")
+    for i in range(cyc.e):
+        for j in range(cyc.e):
+            for (a, b) in six_class(cyc.e, i, j):
+                if cyc.cell(a, b) != cyc.cell(i, j):
+                    problems.append(f"({i},{j}) class broken at ({a},{b})")
+    return problems
+
+
+def test_check_symmetries_matches_the_cell_loop(bundle):
+    # A count moved between cells; one more count in the singleton class
+    # (0,0); a pair of counts that keeps only the swap symmetry.
+    cyc = bundle(197).cyc49
+    moved, extra, swapped = (cyc.counts.copy() for _ in range(3))
+    moved[0, 1] -= 1
+    moved[0, 2] += 1
+    extra[0, 0] += 1
+    swapped[3, 11] += 1
+    swapped[11, 3] += 1
+    swapped[0, 0] -= 2
+    for counts in (cyc.counts.copy(), moved, extra, swapped):
+        table = _with_counts(cyc, counts)
+        assert check_symmetries(table) == check_symmetries_by_cell(table)
+    assert check_symmetries(_with_counts(cyc, extra)) == ["total 196 != p - 2"]
+
+
+def test_identity_suite_checks_one_zero_pairs(bundle):
+    # Move a count from each cell of the class of (1,5) to each cell of the
+    # class of (1,2): the total and every symmetry hold, the column sums,
+    # which are the coefficients of J(0,1), do not.
+    cyc = bundle(197).cyc49
+    counts = cyc.counts.copy()
+    for (a, b) in six_class(49, 1, 5):
+        counts[a, b] -= 1
+    for (a, b) in six_class(49, 1, 2):
+        counts[a, b] += 1
+    bad = _with_counts(cyc, counts)
+    assert check_symmetries(bad) == []
+    assert "one-zero identity fails at (0,1)" in identity_suite(bad)
+    assert not all_pairs_oracle(bad)
+
+
+def test_identity_suite_catches_every_single_count_move(bundle):
+    rng = random.Random(49)
+    cyc = bundle(197).cyc49
+    cells = [(i, j) for i in range(49) for j in range(49)]
+    for _ in range(200):
+        src, dst = rng.sample(cells, 2)
+        counts = cyc.counts.copy()
+        counts[src] -= 1
+        counts[dst] += 1
+        assert identity_suite(_with_counts(cyc, counts)), (src, dst)
 
 
 def test_identity_suite_refuses_odd_cofactor():
