@@ -1,21 +1,29 @@
 """Hot loops over F_p, in numpy.
 
-The field is described by its class table: classes[a] = ind(a) mod m for
-a = 1..p-1, where ind is the discrete logarithm to a fixed primitive root
-and m divides p - 1.  With m = gcd(p - 1, 49) every character of order 7
-or 49, and so every cyclotomic number and Jacobi sum the package needs,
-is read off it.  Labels are below 64 and stored as uint8; classes[0]
-holds UNDEFINED and is never read.
+block_factorials multiplies out the running product 1*2*...*n mod p
+that the cyclotomic numbers are built from (cyclotomy.cyclotomic_numbers).
+It is arithmetic in sequence: blocks of consecutive integers, tree-reduced
+in int64, with no table and no scatter.
+
+The other kernels read the field's class table: classes[a] = ind(a) mod m
+for a = 1..p-1, where ind is the discrete logarithm to a fixed primitive
+root and m divides p - 1.  With m = gcd(p - 1, 49) every character of
+order 7 or 49 is read off it.  Labels are below 64 and stored as uint8;
+classes[0] holds UNDEFINED and is never read.  The pipeline builds the
+table only for the direct character sum (power_pair_hist) that checks
+the factorial-built tables.  pair_counts, the same tables counted pair
+by pair, is the oracle of the startup self-check and of the tests.
 
 The kernels walk the field in chunks, so their temporaries stay small
 whatever p is: _CHUNK elements for the pair histograms, whose keys and
-bins then stay in cache, and _BLOCK elements for index_table, whose
-scattered writes go faster in larger batches.  The histograms widen each
-chunk of labels to int64 before any multiply (uint8 arithmetic
-wraps silently), so all their arithmetic runs in the int64 loops the rest
-of the package uses; narrow loops of their own would add numpy code pages
-to every process that runs a kernel once.  Counts stay far below 2**63,
-since p is capped at 10**7.
+bins then stay in cache, _SLAB elements for the factorial products, and
+_BLOCK elements for index_table, whose scattered writes go faster in
+larger batches.  The histograms widen each chunk of labels to int64
+before any multiply (uint8 arithmetic wraps silently), so all their
+arithmetic runs in the int64 loops the rest of the package uses; narrow
+loops of their own would add numpy code pages to every process that runs
+a kernel once.  Counts stay far below 2**63, since p is capped at 10**7,
+and so do products of two residues, below p**2 < 10**14.
 
 cubic_roots, a full scan for the roots of x^3 + x^2 - 2x - 1, is the
 test oracle of the closed form in artiad.cubic_roots; the pipeline does
@@ -25,6 +33,7 @@ not call it.
 import numpy as np
 
 _CHUNK = 1 << 15
+_SLAB = 1 << 16
 _BLOCK = 1 << 20
 _LABELS = 64  # every label is below 64
 UNDEFINED = 255
@@ -40,6 +49,43 @@ def _powers(base, n, p):
     while out.size < n:
         out = np.concatenate([out, out * g % p])[:n]
         g = g * g % p
+    return out
+
+
+def block_factorials(p, f, h):
+    """The products (k*f + 1)(k*f + 2)...((k+1)*f) mod p, k = 0..h-1, as int64.
+
+    A slab holds up to _SLAB integers as rows of h, row r and column k
+    holding k*f + r + 1; each slab is the first one plus a constant.  The
+    rows are multiplied pairwise, first half by last half, until one is
+    left, reducing mod p after every product.  x mod p is taken as
+    x - (x // p) * p, since numpy's division by a scalar is much faster
+    than its remainder.
+    """
+    out = np.ones(h, dtype=np.int64)
+    if h == 0:
+        return out
+    rows = max(1, min(f, _SLAB // h))
+    first = np.add.outer(np.arange(1, rows + 1, dtype=np.int64),
+                         np.arange(0, h * f, f, dtype=np.int64))
+    slab = np.empty_like(first)
+    quot = np.empty_like(first)
+    for start in range(0, f, rows):
+        n = min(rows, f - start)
+        x = slab[:n]
+        np.add(first[:n], start, out=x)
+        while n > 1:
+            half = n // 2
+            low = x[:half]
+            low *= x[n - half : n]
+            q = quot[:half]
+            np.floor_divide(low, p, out=q)
+            q *= p
+            low -= q
+            n -= half
+            x = x[:n]
+        out *= x[0]
+        out %= p
     return out
 
 
@@ -126,6 +172,7 @@ def cubic_roots(p):
 
 def warmup():
     """Run every kernel once on F_29, so that lazy numpy set-up is not timed later."""
+    block_factorials(29, 4, 3)
     classes = index_table(29, 2, 7)
     pair_counts(classes, 7)
     power_pair_hist(classes, 7, 1, 1)

@@ -21,7 +21,7 @@ from .congruence import CoefficientSet
 from .cyclotomy import CycNumberTable
 from .errors import InputError, InvariantViolation
 from .order7 import Sextuple
-from .prime_field import FieldContext, index_of
+from .prime_field import FieldContext, index_mod, index_of, is_seventh_power_residue
 
 
 def classify_via_x(sol: Sextuple) -> bool:
@@ -53,9 +53,8 @@ def cubic_roots(p: int) -> list[int]:
 
 
 def classify_via_cubic(ctx: FieldContext) -> bool:
-    """Artiad test from the defining cubic; needs p = 1 (mod 7)."""
-    classes = ctx.classes_for(7)
-    return all(classes[r] % 7 == 0 for r in cubic_roots(ctx.p))
+    """Artiad test from the defining cubic, by Euler's criterion; needs p = 1 (mod 7)."""
+    return all(is_seventh_power_residue(ctx, r) for r in cubic_roots(ctx.p))
 
 
 def ind7_muskat(cyc7: CycNumberTable, p: int) -> int:
@@ -194,8 +193,8 @@ def classify_from_parts(ctx: FieldContext, cyc7: CycNumberTable, sol: Sextuple,
         raise InputError("classification needs p = 1 (mod 14)")
     via_x = classify_via_x(sol)
     via_cubic = classify_via_cubic(ctx)
-    ind7 = int(ctx.classes_for(7)[7]) % 7
-    ind7_zero = ind7 % 7 == 0
+    ind7 = index_mod(ctx, 7, 7)
+    ind7_zero = ind7 == 0
     kind = "ordinary"
     if via_x:
         kind = "hyperartiad" if ind7_zero else "artiad"

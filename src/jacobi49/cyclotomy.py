@@ -1,18 +1,23 @@
 """Cyclotomic numbers, Jacobi sums, and Dickson-Hurwitz sums over F_p.
 
-The package has three routes to a Jacobi sum J(1,n)_e:
+The package has four routes to a Jacobi sum J(1,n)_e:
 
   * a direct character sum over F_p (jacobi_sum),
   * the Fourier transform of the cyclotomic-number table (jacobi_from_cyc):
     coefficient k of J(i,j)_e is the sum of the cells (a,b)_e with
     ia + jb = k (mod e),
   * the Dickson-Hurwitz expansion J(1,n)_e = sum_i B(i,n) zeta^i
-    (jacobi_via_dh, valid because the cofactor f is even for odd e).
+    (jacobi_via_dh, valid because the cofactor f is even for odd e),
+  * its image in F_p under zeta -> gamma^f, which the Gauss-Jacobi
+    binomial congruence gives from factorials mod p (jacobi_images).
 
-Only the first is independent of the table.  It costs a pass over F_p,
-so the verification pipeline runs it once per prime, for J(1,1)_49, as
-the check on the table kernel; the Fourier and Dickson-Hurwitz routes,
-and the identity suite, read the one table.
+The table itself is built from the last (cyclotomic_numbers): every
+cell lies in [0, p), so its residue, an inverse Fourier transform of the
+images, fixes it.  That route reads no class table.  The direct sum is
+the one route that does; it costs a pass over F_p, so the verification
+pipeline runs it once per prime, for J(1,1)_49, as the check on a table
+built by different mathematics.  The Fourier and Dickson-Hurwitz
+routes, and the identity suite, read the one table.
 
 The cofactor f = (p - 1)/e is even for every odd e dividing p - 1, so
 chi^i(-1) = zeta^(i (p-1)/2) = zeta^(i e f/2) = 1: the v and 1-v
@@ -26,6 +31,7 @@ identity J(chi^0, chi^0) = p - 2 come out.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -67,14 +73,67 @@ class DicksonHurwitzTable:
         return self.B.tolist()
 
 
-def cyclotomic_numbers(ctx: FieldContext, e: int) -> CycNumberTable:
-    """One pass over v in F_p minus {0, -1}, binning by (ind v, ind(v+1)) mod e.
+def jacobi_images(ctx: FieldContext, e: int) -> np.ndarray:
+    """The images of J(i,j)_e, i, j = 0..e-1, in F_p under zeta -> gamma^f; e | ctx.m.
 
-    e must divide ctx.m = gcd(p - 1, 49), the modulus of the class table.
+    With f = (p - 1)/e the map sends chi^i(x) to x^(if), so J(i,j)_e goes
+    to the sum over v of v^(if) (1 + v)^(jf).  Expanding (1 + v)^(jf)
+    and summing v^k over F_p (-1 when p - 1 divides k > 0, else 0)
+    leaves -binom(jf, (e - i)f) when i + j >= e and 0 when i + j < e
+    (the Gauss-Jacobi binomial congruence; Berndt-Evans-Williams, Gauss
+    and Jacobi Sums, 1998).  J(0,0) = p - 2 and J(0,j) = J(i,0) = -1.
+    By Wilson's theorem 1/(kf)! = -((e - k)f)! for 0 < k < e, so for
+    i + j > e the image is -(if)! (jf)! ((2e - i - j)f)!, a product of
+    three entries of ctx.factorials.  Returns int64 residues.
     """
-    counts = _kernels.pair_counts(ctx.classes_for(e), e)
+    p = ctx.p
+    ctx.cofactor(e)
+    fact = ctx.factorials[:: ctx.m // e]  # (k f)!, k = 0..e-1
+    i, j = np.indices((e, e))
+    s = i + j - e
+    product = fact[i] * fact[j] % p * fact[-s % e] % p
+    images = np.where(s > 0, p - product, 0)
+    images[s == 0] = p - 1
+    images[0, :] = images[:, 0] = p - 1
+    images[0, 0] = p - 2
+    return images
+
+
+def counts_from_factorials(ctx: FieldContext, e: int) -> np.ndarray:
+    """The cyclotomic numbers (a,b)_e as an int64 (e, e) array, from factorials mod p.
+
+    J(i,j)_e = sum_{a,b} (a,b)_e zeta^(ia + jb) inverts to
+    (a,b)_e = e^-2 sum_{i,j} w^-(ia + jb) J(i,j) = e^-2 (W J W^T)[a, b]
+    mod p, with w = gamma^f and W[a, i] = w^-ai, which is exact since
+    every count lies in [0, p - 2].  Products of residues stay below
+    p^2 < 10^14, and each matrix-product sum below 49 p^2 < 5 * 10^15.
+    """
+    p = ctx.p
+    w_inv = pow(ctx.gamma, -ctx.cofactor(e), p)
+    powers = [1]
+    for _ in range(e - 1):
+        powers.append(powers[-1] * w_inv % p)
+    k = np.arange(e)
+    W = np.array(powers, dtype=np.int64)[np.multiply.outer(k, k) % e]
+    counts = W @ jacobi_images(ctx, e) % p
+    counts = counts @ W.T % p
+    return counts * pow(e * e, -1, p) % p
+
+
+def cyclotomic_numbers(ctx: FieldContext, e: int) -> CycNumberTable:
+    """The table of (a,b)_e, built from factorials mod p; e must divide ctx.m.
+
+    No class table is read.  The result must pass check_symmetries (the
+    cells sum to p - 2 and the even-f classes hold); otherwise this raises.
+    """
+    counts = counts_from_factorials(ctx, e)
+    table = CycNumberTable(e=e, p=ctx.p, gamma=ctx.gamma, counts=counts)
+    problems = check_symmetries(table)
+    if problems:
+        raise InvariantViolation(
+            f"cyclotomic numbers of order {e} at p = {ctx.p}: " + "; ".join(problems[:3]))
     counts.flags.writeable = False
-    return CycNumberTable(e=e, p=ctx.p, gamma=ctx.gamma, counts=counts)
+    return table
 
 
 def jacobi_sum(ctx: FieldContext, e: int, i: int, j: int) -> CyclotomicInt:
@@ -164,15 +223,22 @@ def six_class(e: int, i: int, j: int) -> set[tuple[int, int]]:
     return set(_class_images(e, i, j))
 
 
+@cache
+def _image_cells(e: int) -> np.ndarray:
+    """Flat indices of the five other images of each cell of an (e, e) table, (5, e*e)."""
+    cells = np.array([a * e + b for a, b in _class_images(e, *np.indices((e, e)))[1:]])
+    cells.flags.writeable = False
+    return cells.reshape(5, e * e)
+
+
 def check_symmetries(cyc: CycNumberTable) -> list[str]:
     """Verify the even-f symmetry classes and the total count; return failures."""
     e, p, counts = cyc.e, cyc.p, cyc.counts
     problems = []
     if int(counts.sum()) != p - 2:
         problems.append(f"total {int(counts.sum())} != p - 2")
-    broken = np.zeros((e, e), dtype=bool)
-    for a, b in _class_images(e, *np.indices((e, e)))[1:]:
-        broken |= counts[a, b] != counts
+    flat = counts.ravel()
+    broken = (flat[_image_cells(e)] != flat).any(axis=0).reshape(e, e)
     for i, j in zip(*np.nonzero(broken)):
         i, j = int(i), int(j)
         for (a, b) in six_class(e, i, j):

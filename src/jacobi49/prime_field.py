@@ -1,16 +1,25 @@
-"""Prime-field context: primality, primitive roots, and the class table.
+"""Prime-field context: primality, primitive roots, factorials and the class table.
 
 ind(a) is the discrete logarithm of a with respect to a fixed primitive
 root gamma, i.e. gamma**ind(a) == a (mod p).  Every multiplicative
 character used elsewhere in the package has order 7 or 49, so it depends
-on ind(a) only mod m = gcd(p - 1, 49).  The context stores that class,
-one uint8 per field element, and is built once per prime and shared
-read-only.  A single full logarithm (index_of) comes from Pohlig-Hellman
-and reads no table.
+on ind(a) only mod m = gcd(p - 1, 49).  The context is built once per
+prime and shared read-only.  It holds two per-prime tables, each built
+on first use and then kept:
+
+  * factorials, (k (p-1)/m)! mod p for k = 0..m-1, from which the
+    cyclotomic numbers are computed (cyclotomy.cyclotomic_numbers);
+  * classes, ind(a) mod m as one uint8 per field element, which only
+    the direct character sums read.
+
+A single full logarithm (index_of) comes from Pohlig-Hellman, ind(a)
+mod e for e | m (index_mod) from a^((p-1)/e), and the seventh-power test
+from Euler's criterion; none of them reads a table.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,26 +103,57 @@ def find_generator(p: int) -> int:
 
 @dataclass(frozen=True)
 class FieldContext:
-    """Immutable per-prime context: p, the chosen generator, and the class table.
+    """Immutable per-prime context: p, the chosen generator and m = gcd(p - 1, 49).
 
-    classes[a] = ind(a) mod m for a = 1..p-1, with m = gcd(p - 1, 49).
+    factorials and classes are computed on first access, at most once
+    per context, and are read-only.
     """
 
     p: int
     gamma: int
     m: int
-    classes: np.ndarray = field(repr=False, compare=False)
 
-    def classes_for(self, e: int) -> np.ndarray:
-        """The class table, for characters of order e; e must divide m."""
+    def cofactor(self, e: int) -> int:
+        """f = (p - 1)/e for characters of order e; e must divide m."""
         if self.m % e != 0:
             raise InputError(f"{e} does not divide m = gcd(p - 1, {CLASS_MODULUS}) "
                              f"= {self.m}")
+        return (self.p - 1) // e
+
+    @cached_property
+    def factorials(self) -> np.ndarray:
+        """(k*f)! mod p for k = 0..m-1, f = (p - 1)/m, as int64.
+
+        Only the lower half, up to (h*f)!, h = m // 2, is multiplied out.
+        The rest follows from Wilson's theorem in the form
+        a! (p - 1 - a)! = (-1)^(a + 1) (mod p): with a = k*f even and
+        p - 1 - a = (m - k) f, (k*f)! = -1/((m - k) f)!.
+        """
+        p, m = self.p, self.m
+        h = m // 2
+        out = [1]
+        for block in _kernels.block_factorials(p, (p - 1) // m, h).tolist():
+            out.append(out[-1] * block % p)
+        out += [p - pow(out[m - k], -1, p) for k in range(h + 1, m)]
+        table = np.array(out, dtype=np.int64)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def classes(self) -> np.ndarray:
+        """classes[a] = ind(a) mod m for a = 1..p-1, as uint8."""
+        table = _kernels.index_table(self.p, self.gamma, self.m)
+        table.flags.writeable = False
+        return table
+
+    def classes_for(self, e: int) -> np.ndarray:
+        """The class table, for characters of order e; e must divide m."""
+        self.cofactor(e)
         return self.classes
 
 
 def build_ctx(p: int, gamma: int | None = None) -> FieldContext:
-    """Build the class table for F_p with the given (or the smallest) generator."""
+    """The context of F_p with the given (or the smallest) generator; no table yet."""
     if not is_prime(p) or p == 2:
         raise InputError(f"{p} is not an odd prime")
     if p > MAX_PRIME:
@@ -124,10 +164,7 @@ def build_ctx(p: int, gamma: int | None = None) -> FieldContext:
         gamma = gamma % p
         if not is_primitive_root(gamma, p):
             raise InputError(f"{gamma} is not a primitive root modulo {p}")
-    m = math.gcd(p - 1, CLASS_MODULUS)
-    classes = _kernels.index_table(p, gamma, m)
-    classes.flags.writeable = False
-    return FieldContext(p=p, gamma=gamma, m=m, classes=classes)
+    return FieldContext(p=p, gamma=gamma, m=math.gcd(p - 1, CLASS_MODULUS))
 
 
 def _dlog_prime_order(g: int, h: int, q: int, p: int) -> int:
@@ -171,9 +208,29 @@ def index_of(ctx: FieldContext, a: int) -> int:
     return x
 
 
+def index_mod(ctx: FieldContext, a: int, e: int) -> int:
+    """ind(a) mod e, for e dividing m and a nonzero mod p; reads no table.
+
+    With f = (p - 1)/e, a^f = (gamma^f)^ind(a) is an e-th root of unity,
+    and ind(a) mod e is its exponent.
+    """
+    p = ctx.p
+    r = a % p
+    if r == 0:
+        raise DomainError("index of 0 is undefined")
+    f = ctx.cofactor(e)
+    target, w = pow(r, f, p), pow(ctx.gamma, f, p)
+    x = 1
+    for k in range(e):
+        if x == target:
+            return k
+        x = x * w % p
+    raise InvariantViolation(f"{r}^{f} is not a power of {w} modulo {p}")
+
+
 def is_seventh_power_residue(ctx: FieldContext, a: int) -> bool:
-    """Whether a is a seventh power in F_p*; requires p = 1 (mod 7)."""
+    """Whether a is a seventh power in F_p*, by Euler's criterion; requires p = 1 (mod 7)."""
     r = a % ctx.p
     if r == 0:
         raise DomainError("index of 0 is undefined")
-    return int(ctx.classes_for(7)[r]) % 7 == 0
+    return pow(r, ctx.cofactor(7), ctx.p) == 1

@@ -1,14 +1,19 @@
-"""Startup algebra self-checks: fast, deterministic, no field larger than p = 29.
+"""Startup algebra self-checks: fast, deterministic, no field larger than p = 197.
 
 These guard the foundations everything else silently relies on: the
 polynomial identity behind the residue map, the ring-homomorphism
-property of that map, ideal membership of 7, and the elementary
-Jacobi-sum identities on a small field.
+property of that map, ideal membership of 7, the elementary Jacobi-sum
+identities on a small field, and the agreement of the two independent
+constructions of the cyclotomic numbers (from factorials mod p, and by
+counting class pairs).
 """
 
 import math
 import random
 
+import numpy as np
+
+from . import _kernels
 from .cyclotomic_ring import (CyclotomicInt, check_reduction_identity,
                               cyclotomic_poly_at_zeta, residue_mod_t8, valuation)
 from .cyclotomy import cyclotomic_numbers, identity_suite
@@ -54,4 +59,12 @@ def run_selfchecks(pairs: int = 100, seed: int = 7) -> list[tuple[str, bool]]:
     ctx = build_ctx(29)
     results.append(("elementary Jacobi-sum identities hold at p = 29",
                     not identity_suite(cyclotomic_numbers(ctx, 7))))
+
+    tables_ok = True
+    for ctx, orders in ((ctx, (7,)), (build_ctx(197), (7, 49))):
+        for e in orders:
+            tables_ok &= np.array_equal(cyclotomic_numbers(ctx, e).counts,
+                                        _kernels.pair_counts(ctx.classes, e))
+    results.append(("cyclotomic numbers from factorials equal the class-pair counts "
+                    "at p = 29 and 197", tables_ok))
     return results

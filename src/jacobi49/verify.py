@@ -100,9 +100,10 @@ def prepare_prime(p: int, gamma: int | None = None) -> PrimeBundle:
 class PrimeStep:
     """The per-prime results that verify_prime and classify_prime share.
 
-    coeffs1 (the n = 1 coefficient set), direct1 (J(1,1)_49 summed
-    directly over F_p) and actual1 (its residue) are None unless
-    p = 1 (mod 49); identity_suite_ok is None where the suite did not run.
+    coeffs1 (the n = 1 coefficient set) and actual1 (the residue of
+    J(1,1)_49) are None unless p = 1 (mod 49).  direct1 (J(1,1)_49 summed
+    directly over F_p, whose residue actual1 then is) and
+    identity_suite_ok are None where the checks did not run.
     discrepancies are the bundle-level ones, carried by every certificate
     of the prime.
     """
@@ -116,20 +117,23 @@ class PrimeStep:
     discrepancies: tuple[str, ...]
 
 
-def _prime_step(p: int, gamma: int | None, with_suite: bool) -> PrimeStep:
+def _prime_step(p: int, gamma: int | None, with_checks: bool) -> PrimeStep:
     """Bundle, classification, n = 1 data and bundle-level discrepancies.
 
-    with_suite runs the identity suite, at every index pair, on the
-    order-49 table.
+    with_checks sums J(1,1)_49 directly over F_p, the one pass that reads
+    the class table, and runs the identity suite, at every index pair, on
+    the order-49 table.  Without them J(1,1)_49 is read off that table.
     """
     bundle = prepare_prime(p, gamma)
     coeffs1 = direct1 = actual1 = suite_ok = None
     if bundle.dh49 is not None:
         coeffs1 = coeffs_by_definition(bundle.dh7, 1, s_value=s_direct(bundle.dh49, 1))
-        direct1 = jacobi_sum(bundle.ctx, 49, 1, 1)
-        actual1 = residue_mod_t8(direct1)
-        if with_suite:
+        if with_checks:
+            direct1 = jacobi_sum(bundle.ctx, 49, 1, 1)
+            actual1 = residue_mod_t8(direct1)
             suite_ok = not identity_suite(bundle.cyc49)
+        else:
+            actual1 = residue_mod_t8(jacobi_from_cyc(bundle.cyc49, 1, 1))
     classification = artiad_mod.classify_from_parts(
         bundle.ctx, bundle.cyc7, bundle.sol, coeffs1=coeffs1, actual_residue=actual1,
         u_signed=bundle.recon.u_signed)
@@ -164,10 +168,12 @@ def verify_prime(p: int, gamma: int | None = None,
                  ns: tuple[int, ...] | None = None) -> list[Certificate]:
     """Run the full congruence verification for each n; p must be 1 (mod 49).
 
-    Every Jacobi sum is read off the order-49 cyclotomic-number table
-    except J(1,1)_49, which is also summed directly over F_p once and
-    compared with the table at n = 1: that one pass checks the table kernel.
-    The elementary-identity suite runs on the same table at every index pair.
+    Every Jacobi sum is read off the order-49 cyclotomic-number table,
+    which is built from factorials mod p, except J(1,1)_49, which is also
+    summed directly over F_p once, from the class table, and compared with
+    the table at n = 1: that one pass checks the table by independent
+    means.  The elementary-identity suite runs on the same table at every
+    index pair.
     """
     if (p - 1) % 49 != 0:
         raise InputError(f"p = {p} is not 1 (mod 49)")
@@ -175,7 +181,7 @@ def verify_prime(p: int, gamma: int | None = None,
     bad = [n for n in ns if not 1 <= n <= 48]
     if bad:
         raise InputError(f"n values out of range 1..48: {bad}")
-    step = _prime_step(p, gamma, with_suite=True)
+    step = _prime_step(p, gamma, with_checks=True)
     return [_certificate_for_n(step, n) for n in ns]
 
 
@@ -254,8 +260,11 @@ def _certificate_for_n(step: PrimeStep, n: int) -> Certificate:
 
 
 def classify_prime(p: int, gamma: int | None = None) -> Certificate:
-    """Classification-only certificate for p = 1 (mod 14); no congruence part."""
-    step = _prime_step(p, gamma, with_suite=False)
+    """Classification-only certificate for p = 1 (mod 14); no congruence part.
+
+    Builds no class table: the one pass over F_p is the factorial product.
+    """
+    step = _prime_step(p, gamma, with_checks=False)
     bundle, coeffs1 = step.bundle, step.coeffs1
     sl = s_lemma(bundle.cyc7, 1)
     coeffs_block = {

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from jacobi49 import _kernels, cyclotomy, verify
+from jacobi49 import cyclotomy, verify
 from jacobi49.cli import main, primes_in_range
 from jacobi49.congruence import (SIX_CLASS_REPS, adjudicate_closed_forms,
                                  c7_closed_form_fitted, coeffs_by_definition,
@@ -10,7 +10,7 @@ from jacobi49.congruence import (SIX_CLASS_REPS, adjudicate_closed_forms,
                                  predicted_residue, s_direct, s_lemma)
 from jacobi49.cyclotomic_ring import CyclotomicInt, residue8, residue_mod_t8
 from jacobi49.cyclotomy import identity_suite, jacobi_sum, six_class
-from jacobi49.errors import InputError
+from jacobi49.errors import InputError, InvariantViolation
 from jacobi49.verify import classify_prime, verify_prime
 
 P49_SMALL = primes_in_range(2, 5000, 49)
@@ -158,14 +158,18 @@ def test_actual_residue_taken_from_direct_sum(bundle):
 
 @pytest.mark.parametrize("identities", ["pipeline", "full"])
 def test_verify_prime_passes_over_field(kernel_calls, bundle, identities):
-    # Every J(i,j)_49 is read off the pair-count table; the only direct
-    # character sum per prime is J(1,1)_49, the check on that table.  The
-    # cubic's roots come in closed form.  The identity suite over all
-    # 49 x 49 pairs of the same table runs inside verify_prime, and run
-    # again on its own ("full") it makes no pass over F_p either.
+    # Every J(i,j)_49 is read off the table built from factorials mod p;
+    # the only direct character sum per prime is J(1,1)_49, the check on
+    # that table, and the only reader of the class table.  The cubic's
+    # roots come in closed form.  The identity suite over all 49 x 49
+    # pairs of the same table runs inside verify_prime, and run again on
+    # its own ("full") it makes no pass over F_p either.
     certs = verify_prime(197)
     assert all(c.match and not c.discrepancies for c in certs)
-    assert sum(kernel_calls.values()) <= 4, kernel_calls
+    assert sum(kernel_calls.values()) <= 3, kernel_calls
+    assert kernel_calls["block_factorials"] == 1
+    assert kernel_calls["index_table"] == 1
+    assert kernel_calls["pair_counts"] == 0
     assert kernel_calls["power_pair_hist"] == 1
     assert kernel_calls["power_pair_hist_variant"] == 0
     assert kernel_calls["cubic_roots"] == 0
@@ -177,32 +181,65 @@ def test_verify_prime_passes_over_field(kernel_calls, bundle, identities):
 
 
 def test_classify_prime_passes_over_field(kernel_calls):
-    # p = 1 (mod 14), not 1 (mod 49): one class table and the order-7 counts
+    # p = 1 (mod 14), not 1 (mod 49): the order-7 table comes from one
+    # factorial product; no class table is built
     cert = classify_prime(43)
     assert not cert.discrepancies
-    assert kernel_calls == {"index_table": 1, "pair_counts": 1, "power_pair_hist": 0,
-                            "power_pair_hist_variant": 0, "cubic_roots": 0}
+    assert kernel_calls == {"block_factorials": 1, "index_table": 0, "pair_counts": 0,
+                            "power_pair_hist": 0, "power_pair_hist_variant": 0,
+                            "cubic_roots": 0}
+
+
+def test_classify_prime_builds_no_class_table_near_the_workload(kernel_calls):
+    cert = classify_prime(4500007)
+    assert not cert.discrepancies
+    assert kernel_calls["index_table"] == 0, kernel_calls
+    assert kernel_calls["block_factorials"] == 1, kernel_calls
+
+
+def _shift_the_factorial_table(monkeypatch, e, shift):
+    """Make the factorial-built (e, e) table pass through shift(counts) first."""
+    real = cyclotomy.counts_from_factorials
+
+    def shifted(ctx, order):
+        counts = real(ctx, order)
+        if order == e:
+            shift(counts)
+        return counts
+
+    monkeypatch.setattr(cyclotomy, "counts_from_factorials", shifted)
 
 
 def test_direct_sum_catches_a_wrong_table(monkeypatch):
-    # Move one count from cell (0,1)_49 to (0,2)_49: the totals still add up
-    # to p - 2, but the single direct sum no longer matches the table at n = 1.
-    real = _kernels.pair_counts
+    # Move one count from each cell of the class of (3,11)_49 to the cell of
+    # the class of (-3,-11) it negates: the total and the even-f classes,
+    # which the table's own guard checks, still hold, but the single direct
+    # sum no longer matches the table at n = 1.
+    def negate_one_class(counts):
+        for (a, b) in six_class(49, 3, 11):
+            counts[a, b] -= 1
+            counts[-a % 49, -b % 49] += 1
 
-    def shifted(ind, e):
-        counts = real(ind, e)
-        if e == 49:
-            counts[0, 1] -= 1
-            counts[0, 2] += 1
-        return counts
-
-    monkeypatch.setattr(_kernels, "pair_counts", shifted)
+    _shift_the_factorial_table(monkeypatch, 49, negate_one_class)
     cert = verify_prime(197, ns=(1,))[0]
     assert "Jacobi sum paths disagree at n = 1" in cert.discrepancies
     assert cert.cross_checks["three_path_agree"] is False
     # the identity suite reads the same table at every pair and catches it too
     assert cert.cross_checks["identity_suite_ok"] is False
     assert "elementary Jacobi-sum identity suite failed" in cert.discrepancies
+
+
+@pytest.mark.parametrize("p,e", [(43, 7), (197, 7), (197, 49)])
+def test_table_guard_catches_an_asymmetric_move(monkeypatch, p, e):
+    # One count moved from (0,1)_e to (0,2)_e keeps the total p - 2 but
+    # breaks the even-f classes, so the table is refused as it is built.
+    def move_one(counts):
+        counts[0, 1] -= 1
+        counts[0, 2] += 1
+
+    _shift_the_factorial_table(monkeypatch, e, move_one)
+    with pytest.raises(InvariantViolation, match=f"cyclotomic numbers of order {e} "):
+        classify_prime(p)
 
 
 def test_bad_class_rejected_before_the_table(kernel_calls, capsys):

@@ -1,8 +1,12 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
+from jacobi49 import _kernels
+from jacobi49.artiad import classify_via_cubic
+from jacobi49.cli import primes_in_range
 from jacobi49.cyclotomic_ring import apply_automorphism
 from jacobi49.cyclotomy import (CycNumberTable, check_dh_identities, check_symmetries,
                                 cyc_from_jacobi, cyclotomic_numbers,
@@ -10,7 +14,8 @@ from jacobi49.cyclotomy import (CycNumberTable, check_dh_identities, check_symme
                                 jacobi_sum, jacobi_sum_variant, jacobi_via_dh,
                                 six_class, identity_suite)
 from jacobi49.errors import InputError, InvariantViolation
-from jacobi49.prime_field import build_ctx
+from jacobi49.prime_field import (MAX_PRIME, build_ctx, find_generator, index_mod,
+                                  is_primitive_root, is_seventh_power_residue)
 
 
 def jacobi_six_class(e: int, i: int, j: int) -> set[tuple[int, int]]:
@@ -299,3 +304,76 @@ def test_convention_relation(bundle):
     ctx = bundle(29).ctx
     for (i, j) in [(1, 1), (2, 5), (3, 4)]:
         assert jacobi_sum(ctx, 7, i, j) == jacobi_sum_variant(ctx, 7, i, j)
+
+
+# The tables built from factorials mod p against the class-pair counts.
+
+def _second_generator(p):
+    return next(g for g in range(find_generator(p) + 1, p) if is_primitive_root(g, p))
+
+
+@pytest.mark.parametrize("p", [29, 43, 197, 491, 883, 1373])
+def test_block_factorials_against_math_factorial(p):
+    m = build_ctx(p).m
+    f = (p - 1) // m
+    for h in (0, 1, m // 2, m - 1):
+        blocks = _kernels.block_factorials(p, f, h)
+        assert blocks.dtype == np.int64 and blocks.shape == (h,)
+        for k, block in enumerate(blocks.tolist()):
+            assert block * math.factorial(k * f) % p == math.factorial((k + 1) * f) % p
+    assert build_ctx(p).factorials.tolist() == [math.factorial(k * f) % p
+                                                for k in range(m)]
+
+
+def test_block_factorials_across_slabs():
+    # blocks of 100001 integers, in slabs of 2**16 // 3 rows: the last partial
+    p, f, h = 1000003, 100001, 3
+    expected = []
+    for k in range(h):
+        x = 1
+        for n in range(k * f + 1, (k + 1) * f + 1):
+            x = x * n % p
+        expected.append(x)
+    assert _kernels.block_factorials(p, f, h).tolist() == expected
+
+
+def _assert_tables_match_pair_counts(ctx, orders):
+    for e in orders:
+        from_factorials = cyclotomic_numbers(ctx, e).counts
+        assert (from_factorials == _kernels.pair_counts(ctx.classes, e)).all(), (ctx.p, e)
+
+
+def test_factorial_tables_match_pair_counts_mod49_below_30000():
+    primes = primes_in_range(2, 30000, 49)
+    assert len(primes) == 74
+    for p in primes:
+        _assert_tables_match_pair_counts(build_ctx(p), (7, 49))
+
+
+def test_factorial_tables_match_pair_counts_other_generator():
+    _assert_tables_match_pair_counts(build_ctx(60271, 33), (7, 49))
+
+
+def test_factorial_tables_match_pair_counts_mod14_e7():
+    for p in primes_in_range(2, 3000, 14):
+        _assert_tables_match_pair_counts(build_ctx(p), (7,))
+    _assert_tables_match_pair_counts(build_ctx(4500007), (7,))
+
+
+@pytest.mark.parametrize("p", [5000549, 9999823])
+def test_factorial_tables_match_pair_counts_near_the_cap(p):
+    # int64 headroom: residues near 10^7, matrix-product sums near 49 p^2
+    assert p % 49 == 1 and p <= MAX_PRIME
+    _assert_tables_match_pair_counts(build_ctx(p), (7, 49))
+
+
+def test_table_free_residue_tests_match_the_class_table():
+    for p in primes_in_range(2, 3000, 14):
+        for gamma in (find_generator(p), _second_generator(p)):
+            ctx = build_ctx(p, gamma)
+            classes = ctx.classes
+            assert index_mod(ctx, 7, 7) == classes[7] % 7
+            assert [is_seventh_power_residue(ctx, a) for a in range(1, p)] == [
+                c % 7 == 0 for c in classes[1:].tolist()]
+            assert classify_via_cubic(ctx) == all(
+                classes[r] % 7 == 0 for r in _kernels.cubic_roots(p).tolist())
