@@ -8,6 +8,11 @@ with c_{i,n} = sum_{u=i}^{6} binom(u,i) B(u, n mod 7)_7 for i <= 6 and
 c_{7,n} = S(n), the weighted row sum of the order-49 Dickson-Hurwitz
 table.  For 7 | n the right side is just -1.
 
+The c_{i,n} of all n come from one product of the order-7 table with
+the binomial matrix (coefficient_sets), and S(n) of all n from one
+vector-matrix product with the order-49 table (s_direct_all); the
+one-n functions are views of these.
+
 S(n) mod 7 is computed twice: from the order-49 table directly
 (s_direct) and from order-7 data alone via the floor-function weights
 lambda_h, lambda_{h,k} (s_lemma).  The two must agree; the floor
@@ -29,7 +34,10 @@ prime = 1 (mod 49) checked.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from functools import cache
+from math import comb
+
+import numpy as np
 
 from .cyclotomic_ring import Residue8
 from .cyclotomy import CycNumberTable, DicksonHurwitzTable, six_class
@@ -68,24 +76,46 @@ def lambda_pair(n_prime: int, h: int, k: int) -> int:
             + (k - h * m) // 7 + (h - k * m) // 7)
 
 
-def s_direct(dh49: DicksonHurwitzTable, n: int) -> int:
-    """S(n) = sum over rows r of floor(r / 7) * B(r, n)_49, exact."""
+def s_direct_all(dh49: DicksonHurwitzTable) -> np.ndarray:
+    """S(n) = sum over rows r of floor(r / 7) * B(r, n)_49 for n = 0..48, exact int64."""
     if dh49.e != 49:
         raise InputError("S(n) needs the order-49 Dickson-Hurwitz table")
-    return sum((r // 7) * dh49.cell(r, n) for r in range(49))
+    return np.arange(49) // 7 @ dh49.B
+
+
+def s_direct(dh49: DicksonHurwitzTable, n: int) -> int:
+    """S(n) for one n: an entry of s_direct_all."""
+    return int(s_direct_all(dh49)[n % 49])
+
+
+@cache
+def _lemma_weights() -> tuple[np.ndarray, tuple]:
+    """The lambda weights of S(n) mod 7, and the cells of the order-7 table they weigh.
+
+    The cells are (h,0) for h = 1..6, then the five class representatives;
+    row n' = 0..6 of the weights holds their lambda_single and lambda_pair
+    at n' (row 0, for 7 | n, is zero).
+    """
+    cells = [(h, 0) for h in range(1, 7)] + SIX_CLASS_REPS
+    weights = np.array([[lambda_single(n, h) for h in range(1, 7)]
+                        + [lambda_pair(n, h, k) for (h, k) in SIX_CLASS_REPS]
+                        for n in range(7)], dtype=np.int64)
+    weights[0] = 0
+    weights.flags.writeable = False
+    return weights, tuple(zip(*cells))
+
+
+def s_lemma_all(cyc7: CycNumberTable) -> np.ndarray:
+    """S(n) mod 7 from order-7 cyclotomic numbers alone, for n mod 7 = 0..6."""
+    if cyc7.e != 7:
+        raise InputError("expected the order-7 cyclotomic table")
+    weights, cells = _lemma_weights()
+    return weights @ cyc7.counts[cells] % 7
 
 
 def s_lemma(cyc7: CycNumberTable, n: int) -> int:
-    """S(n) mod 7 from order-7 cyclotomic numbers alone; 0 when 7 | n."""
-    if cyc7.e != 7:
-        raise InputError("expected the order-7 cyclotomic table")
-    if n % 7 == 0:
-        return 0
-    n_prime = n % 7
-    total = sum(lambda_single(n_prime, h) * cyc7.cell(h, 0) for h in range(1, 7))
-    total += sum(lambda_pair(n_prime, h, k) * cyc7.cell(h, k)
-                 for (h, k) in SIX_CLASS_REPS)
-    return total % 7
+    """S(n) mod 7 for one n, 0 when 7 | n: an entry of s_lemma_all."""
+    return int(s_lemma_all(cyc7)[n % 7])
 
 
 @dataclass(frozen=True)
@@ -106,22 +136,36 @@ class CoefficientSet:
         }
 
 
-def coeffs_by_definition(dh7: DicksonHurwitzTable, n: int,
-                         s_value: int | None = None) -> CoefficientSet:
-    """c_{i,n} = sum_{u=i}^{6} binom(u, i) B(u, n')_7 for i = 1..6.
+@cache
+def _binomials() -> np.ndarray:
+    """binom(u, i) for u = 0..6 (rows) and i = 1..6 (columns)."""
+    table = np.array([[comb(u, i) for i in range(1, 7)] for u in range(7)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
-    Only i >= 3 enters the congruence; c1 and c2 are carried because the
-    artiad criteria quantify over them (they vanish mod 7 for every
-    in-scope prime, which is itself asserted by tests).
+
+def coefficient_sets(dh7: DicksonHurwitzTable, ns, s_values) -> list[CoefficientSet]:
+    """c_{i,n} = sum_{u=i}^{6} binom(u, i) B(u, n')_7, i = 1..6, for every n in ns.
+
+    All seven columns n' come from one product of the table with the
+    binomial matrix.  s_values, aligned with ns, gives each S(n) (None
+    where it is not known).  Only i >= 3 enters the congruence; c1 and c2
+    are carried because the artiad criteria quantify over them (they
+    vanish mod 7 for every in-scope prime, which is itself asserted by
+    tests).
     """
     if dh7.e != 7:
         raise InputError("expected the order-7 Dickson-Hurwitz table")
-    if gcd(7, n) == 7:
-        return CoefficientSet(n=n, n_prime=0, c=None, s_value=s_value)
-    n_prime = n % 7
-    c = tuple(sum(comb(u, i) * dh7.cell(u, n_prime) for u in range(i, 7))
-              for i in range(1, 7))
-    return CoefficientSet(n=n, n_prime=n_prime, c=c, s_value=s_value)
+    c = (dh7.B.T @ _binomials()).tolist()
+    return [CoefficientSet(n=n, n_prime=n % 7, c=tuple(c[n % 7]) if n % 7 else None,
+                           s_value=None if s is None else int(s))
+            for n, s in zip(ns, s_values)]
+
+
+def coeffs_by_definition(dh7: DicksonHurwitzTable, n: int,
+                         s_value: int | None = None) -> CoefficientSet:
+    """The coefficient set of one n: an entry of coefficient_sets."""
+    return coefficient_sets(dh7, (n,), (s_value,))[0]
 
 
 def predicted_residue(coeffs: CoefficientSet) -> Residue8:

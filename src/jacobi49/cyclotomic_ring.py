@@ -11,17 +11,25 @@ constructing the ideal.  Instead zeta maps to 1 + t: the 49th cyclotomic
 polynomial at 1 + t is t^42 modulo 7, so Z[zeta_49]/(1 - zeta)^k is
 F_7[t]/(t^k) for k <= 42, and reducing modulo (7, t^k) computes the
 congruence class exactly.  `check_reduction_identity` asserts this once.
+
+Batches of elements are (rows, e) int64 arrays of coefficient vectors:
+`canonical_rows` and `image_rows` put a whole batch in canonical form
+and map it into F_7[t]/(t^k) in a few array operations; the one-element
+functions are views of them.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InputError
 
 SUPPORTED_ORDERS = (7, 49)
 
 # binomial(k, i) mod 7 for k <= 48, i <= 41: coefficient of t^i in (1+t)^k.
-_BINOM7 = [[math.comb(k, i) % 7 for i in range(42)] for k in range(49)]
+_BINOM7 = np.array([[math.comb(k, i) % 7 for i in range(42)] for k in range(49)],
+                   dtype=np.int64)
 
 
 def _phi(e: int) -> int:
@@ -40,6 +48,20 @@ def _canonicalize(e: int, coeffs: list[int]) -> tuple[int, ...]:
             for j in range(6):
                 c[j * step + r] -= v
     return tuple(c)
+
+
+def canonical_rows(e: int, rows) -> np.ndarray:
+    """The canonical form of every row of an int64 (r, e) array, as a new array.
+
+    The same reduction as CyclotomicInt's: zeta^(phi + r) = -sum_j
+    zeta^(j step + r) for j = 0..5, and no target exponent is itself
+    reduced, so one subtraction per row does it.
+    """
+    ph = _phi(e)
+    out = np.array(rows, dtype=np.int64)
+    out[:, :ph] -= np.tile(out[:, ph:], 6)
+    out[:, ph:] = 0
+    return out
 
 
 class CyclotomicInt:
@@ -181,15 +203,19 @@ def residue8(*coeffs: int) -> Residue8:
     return Residue8(tuple(v % 7 for v in coeffs))
 
 
+def image_rows(rows, upto: int = 8) -> np.ndarray:
+    """Images of the rows of an (r, 49) coefficient array in F_7[t]/(t^upto), upto <= 42.
+
+    zeta -> 1 + t sends coefficient k to binomial(k, i) t^i for every i,
+    so the images are one product with the binomial matrix mod 7.  Rows
+    are reduced mod 7 first: the products then stay below 49 * 36.
+    """
+    return np.asarray(rows, dtype=np.int64) % 7 @ _BINOM7[:, :upto] % 7
+
+
 def _image_coeffs(a: CyclotomicInt, upto: int) -> list[int]:
     # Coefficients of the image of a under zeta -> 1 + t, modulo (7, t^upto).
-    out = [0] * upto
-    for k, v in enumerate(a.coeffs):
-        if v % 7:
-            row = _BINOM7[k]
-            for i in range(min(upto, k + 1)):
-                out[i] += v * row[i]
-    return [v % 7 for v in out]
+    return image_rows([[v % 7 for v in a.coeffs]], upto)[0].tolist()
 
 
 def residue_mod_t8(a: CyclotomicInt) -> Residue8:

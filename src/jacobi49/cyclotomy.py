@@ -3,11 +3,12 @@
 The package has four routes to a Jacobi sum J(1,n)_e:
 
   * a direct character sum over F_p (jacobi_sum),
-  * the Fourier transform of the cyclotomic-number table (jacobi_from_cyc):
-    coefficient k of J(i,j)_e is the sum of the cells (a,b)_e with
-    ia + jb = k (mod e),
+  * the Fourier transform of the cyclotomic-number table (jacobi_rows,
+    jacobi_from_cyc): coefficient k of J(i,j)_e is the sum of the cells
+    (a,b)_e with ia + jb = k (mod e),
   * the Dickson-Hurwitz expansion J(1,n)_e = sum_i B(i,n) zeta^i
-    (jacobi_via_dh, valid because the cofactor f is even for odd e),
+    (jacobi_rows_via_dh, jacobi_via_dh, valid because the cofactor f is
+    even for odd e),
   * its image in F_p under zeta -> gamma^f, which the Gauss-Jacobi
     binomial congruence gives from factorials mod p (jacobi_images).
 
@@ -19,10 +20,18 @@ pipeline runs it once per prime, for J(1,1)_49, as the check on a table
 built by different mathematics.  The Fourier and Dickson-Hurwitz
 routes, and the identity suite, read the one table.
 
+Both table routes are one array pass for all n at once.  Column n of
+the Dickson-Hurwitz table and J(1,n) before canonicalisation are row n
+of a shear sum (_shear_sums) of the table and of its transpose, so all
+48 J(1,n)_49, their canonical forms and their residues come from a few
+whole-array operations; jacobi_from_cyc, jacobi_via_dh and
+dickson_hurwitz are one-row or one-table views of the same code.
+
 The cofactor f = (p - 1)/e is even for every odd e dividing p - 1, so
 chi^i(-1) = zeta^(i (p-1)/2) = zeta^(i e f/2) = 1: the v and 1-v
 conventions of J(i,j) agree, and the even-f symmetry classes hold for
-every table here.
+every table here.  The table routes do not lean on them: a table that
+breaks them gives the J(1,n) its cells define.
 
 Convention trap, isolated here once: characters vanish at zero for every
 exponent, including exponent 0.  Direct sums therefore always skip the
@@ -36,7 +45,7 @@ from functools import cache
 import numpy as np
 
 from . import _kernels
-from .cyclotomic_ring import CyclotomicInt
+from .cyclotomic_ring import CyclotomicInt, canonical_rows
 from .errors import InvariantViolation, UnsupportedCase
 from .prime_field import FieldContext
 
@@ -148,14 +157,62 @@ def jacobi_sum_variant(ctx: FieldContext, e: int, i: int, j: int) -> CyclotomicI
     return CyclotomicInt(e, hist.tolist())
 
 
-def jacobi_from_cyc(cyc: CycNumberTable, a: int, b: int) -> CyclotomicInt:
-    """J(a,b)_e rebuilt from the cyclotomic-number table (Fourier direction)."""
+def _windows(x: np.ndarray) -> np.ndarray:
+    """w[..., s, k] = x[..., (s + k) mod e] for the last axis of x, of length e.
+
+    A read-only strided view of x written twice along that axis; it
+    copies x once and builds none of the (e + 1) e windows.
+    """
+    e = x.shape[-1]
+    twice = np.empty(x.shape[:-1] + (2 * e,), dtype=np.int64)
+    twice[..., :e] = twice[..., e:] = x
+    view = np.ndarray(x.shape[:-1] + (e + 1, e), np.int64, twice, 0,
+                      twice.strides + twice.strides[-1:])
+    view.flags.writeable = False
+    return view
+
+
+def _shear_sums(table: np.ndarray, ns) -> np.ndarray:
+    """out[r, k] = sum_h table[h, (k - ns[r] h) mod e] for an (e, e) table, e in {7, 49}.
+
+    Read row h of the table as a polynomial in zeta: row r of the result
+    is the sum of the rows, row h multiplied by zeta^(ns[r] h).  With
+    h = a + 7b, a < 7 and b < m = e/7, n h = n a + 7 (n mod m) b (mod e).
+    So the rows sharing a are first summed once for each n mod m, then
+    those seven sums once for each n: 7 e (m^2 + len(ns)) cells gathered,
+    against e^2 len(ns) row by row.  Each stage gathers whole windows of
+    its input; the largest temporary has 7 e^2 cells at len(ns) = e.
+    """
+    e = table.shape[0]
+    m = e // 7
+    ns = np.asarray(ns, dtype=np.int64)
+    a, b = np.arange(7), np.arange(m)
+    # part[a, c, k] = sum_b table[a + 7b, (k - 7cb) mod e], for c = n mod m = 0..m-1
+    part = _windows(table.reshape(m, 7, e))[b, a[:, None, None], -7 * np.outer(b, b) % e]
+    part = part.sum(axis=2)
+    # out[r, k] = sum_a part[a, ns[r] mod m, (k - ns[r] a) mod e]
+    return _windows(part)[a, (ns % m)[:, None], -ns[:, None] * a % e].sum(axis=1)
+
+
+def jacobi_rows(cyc: CycNumberTable, a: int, bs) -> np.ndarray:
+    """J(a,b)_e off the table for every b in bs, as canonical int64 rows (Fourier direction).
+
+    Coefficient k of J(a,b) is the sum of the cells (x,y)_e with
+    ax + by = k (mod e).  Folding row x of the table onto row ax leaves
+    in row c the cells with ax = c, so J(a,b) is the shear sum of the
+    folded table's transpose at n = b.
+    """
     e = cyc.e
-    i = np.arange(e, dtype=np.int64)
-    exps = (a * i[:, None] + b * i[None, :]) % e
-    coeffs = np.zeros(e, dtype=np.int64)
-    np.add.at(coeffs, exps.ravel(), cyc.counts.ravel())
-    return CyclotomicInt(e, coeffs.tolist())
+    folded = cyc.counts
+    if a % e != 1:
+        folded = np.zeros_like(folded)
+        np.add.at(folded, a * np.arange(e) % e, cyc.counts)
+    return canonical_rows(e, _shear_sums(folded.T, bs))
+
+
+def jacobi_from_cyc(cyc: CycNumberTable, a: int, b: int) -> CyclotomicInt:
+    """J(a,b)_e rebuilt from the cyclotomic-number table: one row of jacobi_rows."""
+    return CyclotomicInt(cyc.e, jacobi_rows(cyc, a, (b,))[0].tolist())
 
 
 def cyc_from_jacobi(all_j: dict[tuple[int, int], CyclotomicInt], e: int,
@@ -188,25 +245,29 @@ def cyc_from_jacobi(all_j: dict[tuple[int, int], CyclotomicInt], e: int,
 
 
 def dickson_hurwitz(cyc: CycNumberTable) -> DicksonHurwitzTable:
-    """Full table of B(i,j)_e = sum_h (h, i - j*h)_e from the cyclotomic numbers."""
-    e = cyc.e
-    counts = cyc.counts
-    i = np.arange(e, dtype=np.int64)
-    h = np.arange(e, dtype=np.int64)
-    B = np.zeros((e, e), dtype=np.int64)
-    for j in range(e):
-        cols = (i[:, None] - j * h[None, :]) % e
-        B[:, j] = counts[h[None, :], cols].sum(axis=1)
+    """Full table of B(i,j)_e = sum_h (h, i - j*h)_e from the cyclotomic numbers.
+
+    Column j is row j of the table's shear sums.
+    """
+    B = np.ascontiguousarray(_shear_sums(cyc.counts, range(cyc.e)).T)
     B.flags.writeable = False
-    return DicksonHurwitzTable(e=e, p=cyc.p, gamma=cyc.gamma, B=B)
+    return DicksonHurwitzTable(e=cyc.e, p=cyc.p, gamma=cyc.gamma, B=B)
 
 
-def jacobi_via_dh(dh: DicksonHurwitzTable, j: int) -> CyclotomicInt:
-    """J(1,j)_e as sum_i B(i,j) zeta^i; needs the cofactor f even."""
+def jacobi_rows_via_dh(dh: DicksonHurwitzTable, js) -> np.ndarray:
+    """J(1,j)_e = sum_i B(i,j) zeta^i for every j in js, as canonical int64 rows.
+
+    Needs the cofactor f even.
+    """
     f = (dh.p - 1) // dh.e
     if f % 2 != 0:
         raise UnsupportedCase("the Dickson-Hurwitz expansion of J(1,j) needs f even")
-    return CyclotomicInt(dh.e, [int(dh.B[i, j % dh.e]) for i in range(dh.e)])
+    return canonical_rows(dh.e, dh.B.T[np.asarray(js, dtype=np.int64) % dh.e])
+
+
+def jacobi_via_dh(dh: DicksonHurwitzTable, j: int) -> CyclotomicInt:
+    """J(1,j)_e as sum_i B(i,j) zeta^i: one row of jacobi_rows_via_dh."""
+    return CyclotomicInt(dh.e, jacobi_rows_via_dh(dh, (j,))[0].tolist())
 
 
 def _class_images(e, i, j):
@@ -247,37 +308,10 @@ def check_symmetries(cyc: CycNumberTable) -> list[str]:
     return problems
 
 
-def check_dh_identities(dh: DicksonHurwitzTable) -> list[str]:
-    """B(i,0) values, column sums, and the column symmetry B(i,j) = B(i, e-j-1).
-
-    The symmetry also circulates with the second index written e-j-i;
-    that reading fails every table scan (a 1 read as i), while e-j-1
-    follows from the even-f class relation (a,b) = (-a, b-a) applied
-    inside the defining sum.
-    """
-    e, p = dh.e, dh.p
-    f = (p - 1) // e
-    problems = []
-    if dh.cell(0, 0) != f - 1:
-        problems.append(f"B(0,0) = {dh.cell(0, 0)} != f - 1")
-    for i in range(1, e):
-        if dh.cell(i, 0) != f:
-            problems.append(f"B({i},0) != f")
-    for j in range(e):
-        colsum = sum(dh.cell(i, j) for i in range(e))
-        if colsum != p - 2:
-            problems.append(f"column {j} sums to {colsum} != p - 2")
-    for i in range(e):
-        for j in range(e):
-            if dh.cell(i, j) != dh.cell(i, e - j - 1):
-                problems.append(f"B({i},{j}) != B({i},{e - j - 1})")
-    return problems
-
-
 def identity_suite(cyc: CycNumberTable) -> list[str]:
     """Check the elementary Jacobi-sum identities at every index pair; return failures.
 
-    Each J(i,j)_e is the Fourier transform of the table (jacobi_from_cyc),
+    Each J(i,j)_e is the Fourier transform of the table (jacobi_rows),
     and the transform inverts exactly (cyc_from_jacobi).  So J(0,0) = p - 2
     and the Jacobi six-class identities J(i,j) = J(j,i) = J(-i-j,j) = ...
     at all e^2 pairs say the same as: the cells sum to p - 2 and obey the
@@ -301,18 +335,23 @@ def identity_suite(cyc: CycNumberTable) -> list[str]:
         raise InvariantViolation(f"the cofactor (p - 1)/{e} is odd at p = {p}")
     failures = check_symmetries(cyc)
     divisors = [d for d in range(1, e) if e % d == 0]
-    for d in divisors:
-        if jacobi_from_cyc(cyc, 0, d) != -1:
+    minus_one = np.zeros(e, dtype=np.int64)
+    minus_one[0] = -1
+    for d, row in zip(divisors, jacobi_rows(cyc, 0, divisors)):
+        if (row != minus_one).any():
             failures.append(f"one-zero identity fails at (0,{d})")
 
     reps = [(d, d * m) for d in divisors for m in range(1, e // d - 1)]
-    x = np.array([jacobi_from_cyc(cyc, i, j).coeffs for i, j in reps], dtype=np.int64)
+    x = np.concatenate([jacobi_rows(cyc, d, [j for i, j in reps if i == d])
+                        for d in divisors])
     # Coefficient k of J * sigma_-1(J) is sum_a x_a x_(a-k).  From p - 2
     # counts the canonical coefficients have absolute sum at most 2p, so
     # int64 is exact for p below 10^9.
     k = np.arange(e)
     norms = np.einsum("ra,rka->rk", x, x[:, (k[None, :] - k[:, None]) % e])
-    for (i, j), row in zip(reps, norms):
-        if CyclotomicInt(e, row.tolist()) != p:
+    norms = canonical_rows(e, norms)
+    norms[:, 0] -= p
+    for (i, j), wrong in zip(reps, norms.any(axis=1)):
+        if wrong:
             failures.append(f"|J|^2 != p at ({i},{j})")
     return failures

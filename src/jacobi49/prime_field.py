@@ -73,17 +73,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def multiplicative_order(a: int, p: int) -> int:
-    """Order of a in F_p*, via the divisors of p - 1."""
-    if a % p == 0:
-        raise DomainError("zero has no multiplicative order")
-    order = p - 1
-    for q in _prime_factors(p - 1):
-        while order % q == 0 and pow(a, order // q, p) == 1:
-            order //= q
-    return order
-
-
 def is_primitive_root(g: int, p: int) -> bool:
     if g % p == 0:
         return False

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 from . import artiad as artiad_mod
 from .congruence import (CoefficientSet, adjudicate_closed_forms,
-                         c7_closed_form_fitted, coeffs_by_definition,
-                         coeffs_closed_form, predicted_residue, s_direct, s_lemma)
-from .cyclotomic_ring import CyclotomicInt, Residue8, residue_mod_t8
+                         c7_closed_form_fitted, coefficient_sets, coeffs_by_definition,
+                         coeffs_closed_form, predicted_residue, s_direct,
+                         s_direct_all, s_lemma, s_lemma_all)
+from .cyclotomic_ring import CyclotomicInt, Residue8, image_rows, residue_mod_t8
 from .cyclotomy import (CycNumberTable, DicksonHurwitzTable, cyclotomic_numbers,
-                        dickson_hurwitz, jacobi_from_cyc, jacobi_sum,
-                        jacobi_via_dh, identity_suite)
+                        dickson_hurwitz, jacobi_from_cyc, jacobi_rows,
+                        jacobi_rows_via_dh, jacobi_sum, identity_suite)
 from .errors import InputError
 from .order7 import (DiophantineReport, ReconstructionReport, Sextuple, TUPair,
                      match_reconstruction, solution_from_tables, tu_decompose,
@@ -153,6 +154,30 @@ def _prime_step(p: int, gamma: int | None, with_checks: bool) -> PrimeStep:
                      discrepancies=tuple(discrepancies))
 
 
+@dataclass(frozen=True)
+class NRow:
+    """What the certificate of one n compares, read off arrays batched over n."""
+
+    n: int
+    via_cyc: tuple[int, ...]   # J(1,n)_49 off the cyclotomic-number table, canonical
+    via_dh: tuple[int, ...]    # J(1,n)_49 from column n of the Dickson-Hurwitz table
+    actual: Residue8           # the image of via_cyc in F_7[t]/(t^8)
+    coeffs: CoefficientSet     # c_{1..6,n} and S(n)
+    s_lemma: int               # S(n) mod 7 from the order-7 table alone
+
+
+def _n_rows(bundle: PrimeBundle, ns: tuple[int, ...]) -> list[NRow]:
+    """The rows of every n in ns, each kind from one array pass over the prime's tables."""
+    via_cyc = jacobi_rows(bundle.cyc49, 1, ns)
+    via_dh = jacobi_rows_via_dh(bundle.dh49, ns).tolist()
+    images = image_rows(via_cyc).tolist()
+    coeffs = coefficient_sets(bundle.dh7, ns, s_direct_all(bundle.dh49)[list(ns)].tolist())
+    lemma = s_lemma_all(bundle.cyc7).tolist()
+    return [NRow(n=n, via_cyc=tuple(cyc), via_dh=tuple(dh), actual=Residue8(tuple(image)),
+                 coeffs=cs, s_lemma=lemma[n % 7])
+            for n, cyc, dh, image, cs in zip(ns, via_cyc.tolist(), via_dh, images, coeffs)]
+
+
 def _cross_checks(step: PrimeStep, weak_ok: bool | None = None,
                   three_path: bool | None = None) -> dict:
     return {
@@ -182,24 +207,22 @@ def verify_prime(p: int, gamma: int | None = None,
     if bad:
         raise InputError(f"n values out of range 1..48: {bad}")
     step = _prime_step(p, gamma, with_checks=True)
-    return [_certificate_for_n(step, n) for n in ns]
+    return [_certificate_for_n(step, row) for row in _n_rows(step.bundle, ns)]
 
 
-def _certificate_for_n(step: PrimeStep, n: int) -> Certificate:
+def _certificate_for_n(step: PrimeStep, row: NRow) -> Certificate:
     bundle = step.bundle
     ctx, sol, tu = bundle.ctx, bundle.sol, bundle.tu
     p = ctx.p
+    n, coeffs = row.n, row.coeffs
     discrepancies: list[str] = []
 
-    via_cyc = jacobi_from_cyc(bundle.cyc49, 1, n)
     if n == 1:
-        coeffs = step.coeffs1
-        direct = step.direct1
+        direct = step.direct1.coeffs
         actual = step.actual1
     else:
-        coeffs = coeffs_by_definition(bundle.dh7, n, s_value=s_direct(bundle.dh49, n))
-        direct = via_cyc
-        actual = residue_mod_t8(direct)
+        direct = row.via_cyc
+        actual = row.actual
     predicted = predicted_residue(coeffs)
     match = predicted == actual
     if not match:
@@ -218,7 +241,7 @@ def _certificate_for_n(step: PrimeStep, n: int) -> Certificate:
         if not s_agree:
             discrepancies.append(f"S({n}) not divisible by 7 despite 7 | n")
     else:
-        sl = s_lemma(bundle.cyc7, n)
+        sl = row.s_lemma
         s_agree = sl == sd % 7
         if not s_agree:
             discrepancies.append(f"S({n}) direct and order-7 paths disagree")
@@ -226,8 +249,7 @@ def _certificate_for_n(step: PrimeStep, n: int) -> Certificate:
     # Jacobi agreement for this n: direct sum, Fourier and Dickson-Hurwitz
     # at n = 1; for n != 1 the residue is read off the table, so this
     # compares the two expansions of the same table.
-    via_dh = jacobi_via_dh(bundle.dh49, n)
-    three_path = via_dh == direct == via_cyc
+    three_path = row.via_dh == direct == row.via_cyc
     if not three_path:
         discrepancies.append(f"Jacobi sum paths disagree at n = {n}")
 

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from jacobi49 import _kernels
+from jacobi49.cyclotomy import CycNumberTable, check_symmetries, cyclotomic_numbers
 from jacobi49.verify import PrimeBundle, prepare_prime
 
 
@@ -42,5 +44,19 @@ def bundle():
         if key not in _BUNDLES:
             _BUNDLES[key] = prepare_prime(p, gamma)
         return _BUNDLES[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def with_shuffled_copy():
+    """The table of order e, and a copy with its cells shuffled out of the even-f classes."""
+
+    def get(ctx, e: int) -> tuple[CycNumberTable, CycNumberTable]:
+        cyc = cyclotomic_numbers(ctx, e)
+        counts = np.random.default_rng(ctx.p * e).permutation(cyc.counts.ravel())
+        shuffled = CycNumberTable(e=e, p=cyc.p, gamma=cyc.gamma, counts=counts.reshape(e, e))
+        assert (shuffled.counts != shuffled.counts.T).any() and check_symmetries(shuffled)
+        return cyc, shuffled
 
     return get

@@ -2,14 +2,16 @@ import math
 
 import pytest
 
-from jacobi49 import cyclotomy, verify
+from jacobi49 import cyclotomic_ring, cyclotomy, verify
 from jacobi49.cli import main, primes_in_range
 from jacobi49.congruence import (SIX_CLASS_REPS, adjudicate_closed_forms,
-                                 c7_closed_form_fitted, coeffs_by_definition,
-                                 coeffs_closed_form, lambda_pair, lambda_single,
-                                 predicted_residue, s_direct, s_lemma)
-from jacobi49.cyclotomic_ring import CyclotomicInt, residue8, residue_mod_t8
-from jacobi49.cyclotomy import identity_suite, jacobi_sum, six_class
+                                 c7_closed_form_fitted, coefficient_sets,
+                                 coeffs_by_definition, coeffs_closed_form, lambda_pair,
+                                 lambda_single, predicted_residue, s_direct,
+                                 s_direct_all, s_lemma, s_lemma_all)
+from jacobi49.cyclotomic_ring import CyclotomicInt, image_rows, residue8, residue_mod_t8
+from jacobi49.cyclotomy import (DicksonHurwitzTable, dickson_hurwitz, identity_suite,
+                                jacobi_from_cyc, jacobi_rows, jacobi_sum, six_class)
 from jacobi49.errors import InputError, InvariantViolation
 from jacobi49.verify import classify_prime, verify_prime
 
@@ -267,26 +269,122 @@ def test_verify_and_classify_share_one_step(p):
     assert certs[0]["coeffs"]["s_paths"] == cls["coeffs"]["s_paths"]
 
 
+def _count_calls(monkeypatch):
+    """Count CyclotomicInt products and the table-reading calls, wherever looked up."""
+    calls = {"mul": 0, "jacobi_from_cyc": 0, "jacobi_rows": 0, "residue_mod_t8": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(CyclotomicInt, "__mul__", counting("mul", CyclotomicInt.__mul__))
+    for name, module in (("jacobi_from_cyc", cyclotomy), ("jacobi_rows", cyclotomy),
+                         ("residue_mod_t8", cyclotomic_ring)):
+        wrapper = counting(name, getattr(module, name))
+        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(verify, name, wrapper)
+    return calls
+
+
 def test_verify_prime_products(monkeypatch):
-    # The identity suite checks every pair with 54 Jacobi sums off the table:
-    # J(0,1), J(0,7) and the 52 Galois representatives of |J|^2 = p, whose
-    # norms are one array product, with no CyclotomicInt product.  The n
-    # loop reads 48 more.
-    calls = {"mul": 0, "jacobi_from_cyc": 0}
-    real_mul = CyclotomicInt.__mul__
-    real_from_cyc = cyclotomy.jacobi_from_cyc
-
-    def mul(self, other):
-        calls["mul"] += 1
-        return real_mul(self, other)
-
-    def from_cyc(*args):
-        calls["jacobi_from_cyc"] += 1
-        return real_from_cyc(*args)
-
-    monkeypatch.setattr(CyclotomicInt, "__mul__", mul)
-    monkeypatch.setattr(cyclotomy, "jacobi_from_cyc", from_cyc)
-    monkeypatch.setattr(verify, "jacobi_from_cyc", from_cyc)
+    # The identity suite checks every pair from 54 Jacobi sums off the table
+    # in three batches (J(0,1) and J(0,7); J(1,m); J(7,7m)), and the norms
+    # of the 52 Galois representatives are one array product, with no
+    # CyclotomicInt product.  The n loop reads all 48 J(1,n) in one more
+    # batch; the one residue taken element by element is that of the
+    # direct sum J(1,1)_49.
+    calls = _count_calls(monkeypatch)
     certs = verify_prime(197)
     assert all(c.match and not c.discrepancies for c in certs)
-    assert calls == {"mul": 0, "jacobi_from_cyc": 102}, calls
+    assert calls == {"mul": 0, "jacobi_from_cyc": 0, "jacobi_rows": 4,
+                     "residue_mod_t8": 1}, calls
+
+
+def test_classify_prime_products(monkeypatch):
+    # classify reads J(1,1)_49 off the table as one row, and its residue
+    calls = _count_calls(monkeypatch)
+    cert = classify_prime(60271)
+    assert not cert.discrepancies
+    assert calls == {"mul": 0, "jacobi_from_cyc": 1, "jacobi_rows": 1,
+                     "residue_mod_t8": 1}, calls
+
+
+@pytest.mark.parametrize("k", [2, 14, 48])
+def test_dh_column_is_compared_at_its_own_n(monkeypatch, k):
+    # Move one count between rows 0 and 1 of column k of the order-49
+    # Dickson-Hurwitz table.  Both rows carry weight floor(r/7) = 0 in
+    # S(k), so only the Jacobi sum read off that column changes: the
+    # certificate of n = k, and no other, sees its three paths disagree.
+    real = verify.dickson_hurwitz
+
+    def perturbed(cyc):
+        dh = real(cyc)
+        if cyc.e != 49:
+            return dh
+        B = dh.B.copy()
+        B[0, k] -= 1
+        B[1, k] += 1
+        return DicksonHurwitzTable(e=dh.e, p=dh.p, gamma=dh.gamma, B=B)
+
+    monkeypatch.setattr(verify, "dickson_hurwitz", perturbed)
+    certs = verify_prime(197)
+    assert [c.n for c in certs if not c.cross_checks["three_path_agree"]] == [k]
+    assert [c.discrepancies for c in certs] == [
+        (f"Jacobi sum paths disagree at n = {k}",) if c.n == k else () for c in certs]
+    assert all(c.match for c in certs)
+
+
+# The batched congruence numbers against loop references, on the tables of
+# order 7 and 49 and on copies with their cells shuffled, which break the
+# even-f classes.
+
+def residue_by_loop(coeffs) -> tuple[int, ...]:
+    """zeta -> 1 + t term by term, modulo (7, t^8): the loop reference of the residue map."""
+    out = [0] * 8
+    for k, v in enumerate(coeffs):
+        for i in range(min(8, k + 1)):
+            out[i] += v * math.comb(k, i)
+    return tuple(v % 7 for v in out)
+
+
+def s_lemma_by_loop(cyc7, n) -> int:
+    if n % 7 == 0:
+        return 0
+    total = sum(lambda_single(n % 7, h) * cyc7.cell(h, 0) for h in range(1, 7))
+    total += sum(lambda_pair(n % 7, h, k) * cyc7.cell(h, k) for (h, k) in SIX_CLASS_REPS)
+    return total % 7
+
+
+@pytest.mark.parametrize("p", [197, 491, 60271])
+def test_batched_residues_and_s_match_the_loops(bundle, with_shuffled_copy, p):
+    for cyc in with_shuffled_copy(bundle(p).ctx, 49):
+        rows = jacobi_rows(cyc, 1, range(49))
+        images = image_rows(rows, 8).tolist()
+        B = dickson_hurwitz(cyc).B
+        s_all = s_direct_all(dickson_hurwitz(cyc)).tolist()
+        for n in range(49):
+            expected = residue_by_loop(rows[n].tolist())
+            assert tuple(images[n]) == expected, n
+            assert residue_mod_t8(jacobi_from_cyc(cyc, 1, n)).coeffs == expected, n
+            s_loop = sum((r // 7) * int(B[r, n]) for r in range(49))
+            assert s_all[n] == s_direct(dickson_hurwitz(cyc), n) == s_loop, n
+
+
+@pytest.mark.parametrize("p", [29, 197, 491, 60271])
+def test_batched_coefficients_and_lemma_match_the_loops(bundle, with_shuffled_copy, p):
+    ns = list(range(-3, 60))
+    for cyc7 in with_shuffled_copy(bundle(p).ctx, 7):
+        dh7 = dickson_hurwitz(cyc7)
+        s_values = [n * n - 7 for n in ns]
+        sets = coefficient_sets(dh7, ns, s_values)
+        lemma = s_lemma_all(cyc7).tolist()
+        for n, s_value, cs in zip(ns, s_values, sets):
+            c = None if n % 7 == 0 else tuple(
+                sum(math.comb(u, i) * dh7.cell(u, n) for u in range(i, 7))
+                for i in range(1, 7))
+            assert (cs.n, cs.n_prime, cs.c, cs.s_value) == (n, n % 7, c, s_value), n
+            assert coeffs_by_definition(dh7, n, s_value) == cs
+            assert coeffs_by_definition(dh7, n).s_value is None
+            assert lemma[n % 7] == s_lemma(cyc7, n) == s_lemma_by_loop(cyc7, n), n

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobi49.cyclotomic_ring import (CyclotomicInt, Residue8, apply_automorphism,
-                                      check_reduction_identity,
+                                      canonical_rows, check_reduction_identity,
                                       cyclotomic_poly_at_zeta, residue8,
                                       residue_mod_t8, valuation)
 from jacobi49.errors import InputError
@@ -34,6 +35,16 @@ def test_additive_inverse():
 @pytest.mark.parametrize("e", [7, 49])
 def test_defining_relation_is_zero(e):
     assert cyclotomic_poly_at_zeta(e).is_zero()
+
+
+@pytest.mark.parametrize("e", [7, 49])
+def test_canonical_rows_match_the_element_canonicalization(e):
+    rows = np.random.default_rng(e).integers(-10**12, 10**12, (50, e))
+    rows[1::2, e - e // 7:] = 0  # already canonical
+    out = canonical_rows(e, rows)
+    assert out.dtype == np.int64 and out is not rows
+    assert [tuple(row) for row in out.tolist()] == [
+        CyclotomicInt(e, row).coeffs for row in rows.tolist()]
 
 
 def test_canonicalization_identifies_equal_elements():

@@ -7,12 +7,12 @@ import pytest
 from jacobi49 import _kernels
 from jacobi49.artiad import classify_via_cubic
 from jacobi49.cli import primes_in_range
-from jacobi49.cyclotomic_ring import apply_automorphism
-from jacobi49.cyclotomy import (CycNumberTable, check_dh_identities, check_symmetries,
+from jacobi49.cyclotomic_ring import CyclotomicInt, apply_automorphism
+from jacobi49.cyclotomy import (CycNumberTable, check_symmetries,
                                 cyc_from_jacobi, cyclotomic_numbers,
-                                dickson_hurwitz, jacobi_from_cyc,
-                                jacobi_sum, jacobi_sum_variant, jacobi_via_dh,
-                                six_class, identity_suite)
+                                dickson_hurwitz, jacobi_from_cyc, jacobi_rows,
+                                jacobi_rows_via_dh, jacobi_sum, jacobi_sum_variant,
+                                jacobi_via_dh, six_class, identity_suite)
 from jacobi49.errors import InputError, InvariantViolation
 from jacobi49.prime_field import (MAX_PRIME, build_ctx, find_generator, index_mod,
                                   is_primitive_root, is_seventh_power_residue)
@@ -156,6 +156,33 @@ def test_fourier_inversion_flags_corrupt_input(bundle):
         for a in range(7):
             for b in range(7):
                 cyc_from_jacobi(all_j, 7, a, b)
+
+
+def check_dh_identities(dh) -> list[str]:
+    """B(i,0) values, column sums, and the column symmetry B(i,j) = B(i, e-j-1).
+
+    The symmetry also circulates with the second index written e-j-i;
+    that reading fails every table scan (a 1 read as i), while e-j-1
+    follows from the even-f class relation (a,b) = (-a, b-a) applied
+    inside the defining sum.
+    """
+    e, p = dh.e, dh.p
+    f = (p - 1) // e
+    problems = []
+    if dh.cell(0, 0) != f - 1:
+        problems.append(f"B(0,0) = {dh.cell(0, 0)} != f - 1")
+    for i in range(1, e):
+        if dh.cell(i, 0) != f:
+            problems.append(f"B({i},0) != f")
+    for j in range(e):
+        colsum = sum(dh.cell(i, j) for i in range(e))
+        if colsum != p - 2:
+            problems.append(f"column {j} sums to {colsum} != p - 2")
+    for i in range(e):
+        for j in range(e):
+            if dh.cell(i, j) != dh.cell(i, e - j - 1):
+                problems.append(f"B({i},{j}) != B({i},{e - j - 1})")
+    return problems
 
 
 @pytest.mark.parametrize("p,e", [(29, 7), (197, 49)])
@@ -377,3 +404,60 @@ def test_table_free_residue_tests_match_the_class_table():
                 c % 7 == 0 for c in classes[1:].tolist()]
             assert classify_via_cubic(ctx) == all(
                 classes[r] % 7 == 0 for r in _kernels.cubic_roots(p).tolist())
+
+
+# The batched table routes against loop references.
+
+def jacobi_by_scatter(cyc, a, b) -> CyclotomicInt:
+    """J(a,b)_e as one scatter-add of the cells onto their exponents: the loop reference."""
+    e = cyc.e
+    i = np.arange(e, dtype=np.int64)
+    exps = (a * i[:, None] + b * i[None, :]) % e
+    coeffs = np.zeros(e, dtype=np.int64)
+    np.add.at(coeffs, exps.ravel(), cyc.counts.ravel())
+    return CyclotomicInt(e, coeffs.tolist())
+
+
+def dickson_hurwitz_by_column(cyc) -> np.ndarray:
+    """B(i,j)_e = sum_h (h, i - j*h)_e one column at a time: the loop reference."""
+    e, counts = cyc.e, cyc.counts
+    i = np.arange(e, dtype=np.int64)
+    h = np.arange(e, dtype=np.int64)
+    B = np.zeros((e, e), dtype=np.int64)
+    for j in range(e):
+        cols = (i[:, None] - j * h[None, :]) % e
+        B[:, j] = counts[h[None, :], cols].sum(axis=1)
+    return B
+
+
+BATCH_CASES = [(29, 7), (197, 7), (197, 49), (491, 7), (491, 49), (60271, 7), (60271, 49)]
+
+
+@pytest.mark.parametrize("p,e", BATCH_CASES)
+def test_jacobi_rows_match_the_scatter_reference(bundle, with_shuffled_copy, p, e):
+    for cyc in with_shuffled_copy(bundle(p).ctx, e):
+        for a in (0, 1, 2, 7, e - 1):
+            rows = jacobi_rows(cyc, a, range(e))
+            assert rows.shape == (e, e) and rows.dtype == np.int64
+            for b in range(e):
+                expected = jacobi_by_scatter(cyc, a, b)
+                assert tuple(rows[b].tolist()) == expected.coeffs, (a, b)
+                assert jacobi_from_cyc(cyc, a, b) == expected, (a, b)
+        unordered = [5, -1, 3 * e + 2, 0, 5]
+        assert [tuple(row) for row in jacobi_rows(cyc, 3, unordered).tolist()] == [
+            jacobi_by_scatter(cyc, 3, b).coeffs for b in unordered]
+
+
+@pytest.mark.parametrize("p,e", BATCH_CASES)
+def test_dickson_hurwitz_matches_the_column_loop(bundle, with_shuffled_copy, p, e):
+    cyc, shuffled = with_shuffled_copy(bundle(p).ctx, e)
+    for table in (cyc, shuffled):
+        dh = dickson_hurwitz(table)
+        assert (dh.B == dickson_hurwitz_by_column(table)).all()
+        rows = jacobi_rows_via_dh(dh, range(e))
+        for j in range(e):
+            expected = CyclotomicInt(e, dh.B[:, j].tolist())
+            assert tuple(rows[j].tolist()) == expected.coeffs, j
+            assert jacobi_via_dh(dh, j) == expected, j
+    assert check_dh_identities(dickson_hurwitz(cyc)) == []
+    assert check_dh_identities(dickson_hurwitz(shuffled))

