@@ -11,11 +11,16 @@ certificate carries a discrepancy, 2 invalid input or unusable output path.
 
 Reports are deterministic for a fixed configuration independent of the
 worker count; the only field that varies between runs is runtime_seconds.
+A scan encodes each prime's records in the worker that computes them; the
+parent gathers the encoded text in p order into one buffer and writes it
+between the report's header and its runtime, with the same bytes that one
+json.dump(report, indent=2) or csv.writer over all records would give.
 """
 
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
 import stat
@@ -63,29 +68,43 @@ def cmd_classify(args) -> int:
     return EXIT_MISMATCH if cert.discrepancies else EXIT_OK
 
 
-def _scan_one(task) -> list[dict]:
-    p, all_n = task
+def _scan_one(task) -> tuple[list[tuple], bytes]:
+    """The summary facts and the encoded report text of one prime's records.
+
+    The facts are (p, n, kind, match, discrepancies) per record.  The text
+    is ASCII: for json the records as they sit in the report's certificates
+    list, for csv their rows.  The classification record comes first, then
+    n in ascending order, so records are in report order without a sort.
+    """
+    p, all_n, fmt = task
     certs = [classify_prime(p)]
     if (p - 1) % 49 == 0:
         certs.extend(verify_prime(p, ns=None if all_n else (1,)))
-    return [c.to_json() for c in certs]
+    records = [c.to_json() for c in certs]
+    facts = [(r["p"], r["n"], r["classification"]["kind"], r["match"], r["discrepancies"])
+             for r in records]
+    if fmt == "csv":
+        return facts, _csv_text(_csv_row(r) for r in records).encode()
+    # A record sits two levels deep in the report, so every line of its
+    # indent=2 text gets four more spaces; no JSON string holds a raw newline.
+    text = ",\n".join(json.dumps(r, indent=2) for r in records)
+    return facts, ("    " + text.replace("\n", "\n    ")).encode()
 
 
-def _summarize(cert_dicts: list[dict]) -> dict:
+def _summarize(facts: list[tuple]) -> dict:
     kinds = {}
     mismatches = 0
     discrepancies = []
     first_artiad = None
-    for c in cert_dicts:
-        if c["n"] is None:  # one classification record per prime
-            kind = c["classification"]["kind"]
+    for p, n, kind, match, flags in facts:
+        if n is None:  # one classification record per prime
             kinds[kind] = kinds.get(kind, 0) + 1
             if kind in ("artiad", "hyperartiad") and first_artiad is None:
-                first_artiad = c["p"]
-        if c["match"] is False:
+                first_artiad = p
+        if match is False:
             mismatches += 1
-        for d in c["discrepancies"]:
-            discrepancies.append(f"p={c['p']} n={c['n']}: {d}")
+        for d in flags:
+            discrepancies.append(f"p={p} n={n}: {d}")
     return {
         "ordinary": kinds.get("ordinary", 0),
         "artiad": kinds.get("artiad", 0),
@@ -96,37 +115,52 @@ def _summarize(cert_dicts: list[dict]) -> dict:
     }
 
 
-def _write_csv(fh, cert_dicts: list[dict]) -> None:
-    cols = (["p", "gamma", "n", "match", "kind"]
-            + [f"predicted_t{i}" for i in range(8)]
-            + [f"actual_t{i}" for i in range(8)]
-            + ["discrepancies"])
-    writer = csv.writer(fh)
-    writer.writerow(cols)
-    for c in cert_dicts:
-        pred = c["predicted"] if c["predicted"] else [""] * 8
-        act = c["actual"] if c["actual"] else [""] * 8
-        writer.writerow(
-            [c["p"], c["gamma"], "" if c["n"] is None else c["n"],
+_CSV_COLUMNS = (["p", "gamma", "n", "match", "kind"]
+               + [f"predicted_t{i}" for i in range(8)]
+               + [f"actual_t{i}" for i in range(8)]
+               + ["discrepancies"])
+
+
+def _csv_row(c: dict) -> list:
+    pred = c["predicted"] if c["predicted"] else [""] * 8
+    act = c["actual"] if c["actual"] else [""] * 8
+    return ([c["p"], c["gamma"], "" if c["n"] is None else c["n"],
              "" if c["match"] is None else c["match"],
              c["classification"]["kind"]]
             + list(pred) + list(act)
             + ["; ".join(c["discrepancies"])])
 
 
-def _scan_report(args) -> tuple[int, dict]:
-    """Scan the range of args; the number of primes and the report."""
+def _csv_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+def _scan_results(tasks: list, jobs: int):
+    """_scan_one of each task, in task order, from a pool when it pays."""
+    if jobs == 1 or len(tasks) <= 1:
+        yield from map(_scan_one, tasks)
+        return
+    # fork starts every worker at the first submit: no more than there is work
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        yield from pool.map(_scan_one, tasks)
+
+
+def _scan_report(args) -> tuple[int, dict, bytearray]:
+    """Scan the range of args: the number of primes, the report without
+    its certificates, and the encoded certificates, in p order."""
     start = time.monotonic()
     primes = primes_in_range(args.min, args.max, args.modulus)
-    tasks = [(p, args.all_n) for p in primes]
-    if args.jobs == 1 or len(tasks) <= 1:
-        batches = [_scan_one(t) for t in tasks]
-    else:
-        # fork starts every worker at the first submit: no more than there is work
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            batches = list(pool.map(_scan_one, tasks))
-    cert_dicts = [c for batch in batches for c in batch]
-    cert_dicts.sort(key=lambda c: (c["p"], c["n"] is not None, c["n"] or 0))
+    tasks = [(p, args.all_n, args.format) for p in primes]
+    sep = b"" if args.format == "csv" else b",\n"
+    facts = []
+    body = bytearray()
+    for prime_facts, text in _scan_results(tasks, args.jobs):
+        facts.extend(prime_facts)
+        if body:
+            body += sep
+        body += text
     # jobs is execution detail, not content: the report must be byte-identical
     # for any worker count (only runtime_seconds may differ between runs).
     report = {
@@ -138,11 +172,29 @@ def _scan_report(args) -> tuple[int, dict]:
             "format": args.format,
         },
         "version": __version__,
-        "summary": _summarize(cert_dicts),
-        "certificates": cert_dicts,
+        "summary": _summarize(facts),
+        "certificates": [],
         "runtime_seconds": round(time.monotonic() - start, 3),
     }
-    return len(primes), report
+    return len(primes), report, body
+
+
+def _write_report(fh, fmt: str, report: dict, body: bytearray) -> None:
+    """The report as json.dump(..., indent=2) or csv.writer would write it,
+    with body, the encoded records, in place of its empty certificates."""
+    if fmt == "csv":
+        fh.write(_csv_text([_CSV_COLUMNS]).encode())
+        fh.write(body)
+        return
+    # The empty list's bracket is the one place the records go: any other
+    # '"certificates": [' in the text would hold an unescaped quote.
+    head, bracket, tail = json.dumps(report, indent=2).partition('"certificates": [')
+    fh.write((head + bracket).encode())
+    if body:
+        fh.write(b"\n")
+        fh.write(body)
+        fh.write(b"\n  ")
+    fh.write((tail + "\n").encode())
 
 
 def cmd_scan(args) -> int:
@@ -157,22 +209,18 @@ def cmd_scan(args) -> int:
     # written; a file created here is removed again if the scan fails.
     existed = os.path.exists(args.output)
     try:
-        fh = open(args.output, "a", newline="" if args.format == "csv" else None)
+        fh = open(args.output, "ab")
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         with fh:
-            n_primes, report = _scan_report(args)
+            n_primes, report, body = _scan_report(args)
             try:
                 if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                     fh.seek(0)
                     fh.truncate()
-                if args.format == "csv":
-                    _write_csv(fh, report["certificates"])
-                else:
-                    json.dump(report, fh, indent=2)
-                    fh.write("\n")
+                _write_report(fh, args.format, report, body)
                 fh.flush()
             except OSError as exc:
                 print(f"error: cannot write report: {exc}", file=sys.stderr)

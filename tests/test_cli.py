@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 
@@ -140,6 +142,70 @@ def test_scan_deterministic_across_jobs(tmp_path, capsys):
                    "--output", str(f2), "--jobs", "3")[0] == 0
     strip = lambda s: re.sub(r'"runtime_seconds": [0-9.]+', "", s)
     assert strip(f1.read_text()) == strip(f2.read_text())
+
+
+def _reference_scan(lo, hi, modulus, all_n, fmt) -> str:
+    """The report as the scan wrote it before records were encoded in the
+    workers: every record dict, sorted by (p, n), then one json.dump or
+    csv.writer over the whole report."""
+    from jacobi49.verify import classify_prime, verify_prime
+
+    records = []
+    for p in reversed(primes_in_range(lo, hi, modulus)):  # the sort restores p order
+        certs = [classify_prime(p)]
+        if (p - 1) % 49 == 0:
+            certs.extend(verify_prime(p, ns=None if all_n else (1,)))
+        records.extend(c.to_json() for c in certs)
+    records.sort(key=lambda c: (c["p"], c["n"] is not None, c["n"] or 0))
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out)
+        writer.writerow(["p", "gamma", "n", "match", "kind"]
+                        + [f"predicted_t{i}" for i in range(8)]
+                        + [f"actual_t{i}" for i in range(8)] + ["discrepancies"])
+        for c in records:
+            writer.writerow(
+                [c["p"], c["gamma"], "" if c["n"] is None else c["n"],
+                 "" if c["match"] is None else c["match"], c["classification"]["kind"]]
+                + list(c["predicted"] or [""] * 8) + list(c["actual"] or [""] * 8)
+                + ["; ".join(c["discrepancies"])])
+        return out.getvalue()
+    kinds = [c["classification"]["kind"] for c in records if c["n"] is None]
+    artiads = [c["p"] for c in records
+               if c["n"] is None and c["classification"]["kind"] != "ordinary"]
+    summary = {
+        "ordinary": kinds.count("ordinary"),
+        "artiad": kinds.count("artiad"),
+        "hyperartiad": kinds.count("hyperartiad"),
+        "mismatches": sum(c["match"] is False for c in records),
+        "discrepancy_flags": [f"p={c['p']} n={c['n']}: {d}"
+                              for c in records for d in c["discrepancies"]],
+        "first_artiad": artiads[0] if artiads else None,
+    }
+    report = {"config": {"min": lo, "max": hi, "modulus": modulus, "all_n": all_n,
+                         "format": fmt},
+              "version": cli.__version__, "summary": summary,
+              "certificates": records, "runtime_seconds": 0.0}
+    json.dump(report, out, indent=2)
+    out.write("\n")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("all_n", [False, True], ids=["n1", "all-n"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_matches_the_whole_report_encoding(tmp_path, capsys, fmt, all_n, jobs):
+    out_file = tmp_path / f"r.{fmt}"
+    argv = ["scan", "--min", "14000", "--max", "15000", "--modulus", "14",
+            "--format", fmt, "--jobs", jobs, "--output", str(out_file)]
+    assert run_cli(capsys, *argv, *(["--all-n"] if all_n else []))[0] == 0
+    cut = lambda s: re.sub(r'\n *"runtime_seconds": [^\n]*', "", s)
+    with open(out_file, newline="") as fh:
+        got = fh.read()
+    want = _reference_scan(14000, 15000, 14, all_n, fmt)
+    assert cut(got) == cut(want)
+    if fmt == "json":
+        assert len(json.loads(got)["certificates"]) == 17 + 2 * (48 if all_n else 1)
 
 
 def test_scan_pool_sized_to_the_work(tmp_path, capsys, monkeypatch):

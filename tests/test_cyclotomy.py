@@ -249,6 +249,22 @@ def test_identity_suite_checks_the_modulus_off_the_galois_representatives(bundle
     assert not all_pairs_oracle(bad)
 
 
+
+def test_identity_suite_checks_the_modulus_at_the_order_7_pairs(bundle):
+    # The order-7 analogue of the shift above, tiled over the 49 x 49 table:
+    # one count from each cell of the class of (0,1)_7 to the cell it
+    # negates, at every lift to order 49.  Only J(i,j) with 7 | i and 7 | j
+    # sees the shift, and of the pairs the modulus is checked at those are
+    # the five (7, 7m); all other identities hold.
+    cyc = bundle(60271).cyc49
+    d7 = np.zeros((7, 7), dtype=cyc.counts.dtype)
+    for (a, b) in six_class(7, 0, 1):
+        d7[a, b] -= 1
+        d7[-a % 7, -b % 7] += 1
+    bad = _with_counts(cyc, cyc.counts + np.tile(d7, (7, 7)))
+    assert check_symmetries(bad) == []
+    assert identity_suite(bad) == [f"|J|^2 != p at (7,{7 * m})" for m in range(1, 6)]
+
 def check_symmetries_by_cell(cyc) -> list[str]:
     """check_symmetries as a loop over every cell: the reference for its array form."""
     problems = []

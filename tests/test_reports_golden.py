@@ -40,6 +40,21 @@ GOLDEN_SCAN = {
     "csv": "ad7a3c4d8e14f0802ab66fe6f05c419c798d10d6645d39d795b4b50411d842ef",
 }
 
+# Scans pinned on the writer that encoded the whole report in the parent
+# process, before records were encoded in the pool workers.
+GOLDEN_SCAN_MORE = {
+    (("scan", "--min", "300", "--max", "400", "--modulus", "49"), "json"):
+        "9beae5cab99458b36dbc35d4d0a05296e8090b15cfa0265087b39dd3fb334496",
+    (("scan", "--min", "197", "--max", "197", "--modulus", "49", "--all-n"), "json"):
+        "992cc808d8a0848576b91cb7be8a81fdf453bd25a738d3dc683e613c911eee77",
+    (("scan", "--min", "197", "--max", "197", "--modulus", "49", "--all-n"), "csv"):
+        "80b83681d2500636f56eb4835c050f6c67676aafa134dc35c32340addf750ba2",
+    (("scan", "--min", "190", "--max", "3000", "--modulus", "14"), "json"):
+        "6fbe2d1c233c387ee0d47e2afc1ed25e80239b3a6db964507fe86727437592f0",
+    (("scan", "--min", "190", "--max", "3000", "--modulus", "14"), "csv"):
+        "6ac734323211b7658c2dea3fe2cf3750dc7947f7a6c4ba318d14a72f1a22d969",
+}
+
 _RUNTIME = re.compile(rb'\n *"runtime_seconds": [^\n]*')
 
 
@@ -48,8 +63,8 @@ def stdout_digest(capsys, argv) -> str:
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
-def scan_digest(path, fmt) -> str:
-    assert main([*SCAN, "--format", fmt, "--output", str(path)]) == 0
+def scan_digest(path, fmt, argv=SCAN, jobs="1") -> str:
+    assert main([*argv, "--format", fmt, "--jobs", jobs, "--output", str(path)]) == 0
     data = path.read_bytes()
     if fmt == "json":
         data, n = _RUNTIME.subn(b"", data)
@@ -65,3 +80,16 @@ def test_report_bytes(capsys, argv):
 @pytest.mark.parametrize("fmt", list(GOLDEN_SCAN))
 def test_scan_report_bytes(tmp_path, capsys, fmt):
     assert scan_digest(tmp_path / f"scan.{fmt}", fmt) == GOLDEN_SCAN[fmt]
+
+
+@pytest.mark.parametrize("fmt", list(GOLDEN_SCAN))
+def test_scan_report_bytes_from_the_pool(tmp_path, capsys, fmt):
+    assert scan_digest(tmp_path / f"scan.{fmt}", fmt, jobs="2") == GOLDEN_SCAN[fmt]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", list(GOLDEN_SCAN_MORE),
+                         ids=lambda case: " ".join(case[0][1:]) + f" {case[1]}")
+def test_scan_report_bytes_more_ranges(tmp_path, capsys, case, jobs):
+    argv, fmt = case
+    assert scan_digest(tmp_path / f"scan.{fmt}", fmt, argv, jobs) == GOLDEN_SCAN_MORE[case]
