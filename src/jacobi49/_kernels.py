@@ -10,20 +10,26 @@ for a = 1..p-1, where ind is the discrete logarithm to a fixed primitive
 root and m divides p - 1.  With m = gcd(p - 1, 49) every character of
 order 7 or 49 is read off it.  Labels are below 64 and stored as uint8;
 classes[0] holds UNDEFINED and is never read.  The pipeline builds the
-table only for the direct character sum (power_pair_hist) that checks
-the factorial-built tables.  pair_counts, the same tables counted pair
-by pair, is the oracle of the startup self-check and of the tests.
+table only for pair_counts: verify counts the order-49 table pair by
+pair, once per prime, and compares every cell, and every cell of the
+order-7 table through the fold, with the factorial-built tables.
+pair_counts is also the oracle of the startup self-check.
+power_pair_hist, one direct character sum, is the kernel of
+cyclotomy.jacobi_sum, which the tests use as their oracle.
 
 The kernels walk the field in chunks, so their temporaries stay small
 whatever p is: _CHUNK elements for the pair histograms, whose keys and
 bins then stay in cache, _SLAB elements for the factorial products, and
-_BLOCK elements for index_table, whose scattered writes go faster in
-larger batches.  The histograms widen each chunk of labels to int64
-before any multiply (uint8 arithmetic wraps silently), so all their
-arithmetic runs in the int64 loops the rest of the package uses; narrow
-loops of their own would add numpy code pages to every process that runs
-a kernel once.  Counts stay far below 2**63, since p is capped at 10**7,
-and so do products of two residues, below p**2 < 10**14.
+_BLOCK elements for index_table, whose int64 block of powers and its
+quotients by p, 128 KB each, then stay in cache from the product through
+the reduction mod p to the scatter; a block that spills out of cache
+makes the reduction cost more than the scatter.  The histograms widen
+each chunk of labels to int64 before any multiply (uint8 arithmetic
+wraps silently), so all their arithmetic runs in the int64 loops the
+rest of the package uses; narrow loops of their own would add numpy
+code pages to every process that runs a kernel once.  Counts stay far
+below 2**63, since p is capped at 10**7, and so do products of two
+residues, below p**2 < 10**14.
 
 cubic_roots, a full scan for the roots of x^3 + x^2 - 2x - 1, is the
 test oracle of the closed form in artiad.cubic_roots; the pipeline does
@@ -34,7 +40,7 @@ import numpy as np
 
 _CHUNK = 1 << 15
 _SLAB = 1 << 16
-_BLOCK = 1 << 20
+_BLOCK = 1 << 14
 _LABELS = 64  # every label is below 64
 UNDEFINED = 255
 
@@ -94,7 +100,8 @@ def index_table(p, gamma, m):
 
     gamma**(k*m + r) has class r: the powers are the (f, m) outer product
     (gamma**m)**k * gamma**r mod p, f = (p - 1)/m, scattered a block of
-    rows at a time with labels tiled to match.
+    rows at a time with labels tiled to match.  Each block is reduced mod
+    p as x - (x // p) * p, as in block_factorials.
     """
     f = (p - 1) // m
     steps = _powers(pow(gamma, m, p), f, p)
@@ -103,10 +110,16 @@ def index_table(p, gamma, m):
     table[0] = UNDEFINED
     rows = max(1, min(f, _BLOCK // m))
     labels = np.tile(np.arange(m, dtype=np.uint8), rows)
+    block = np.empty((rows, m), dtype=np.int64)
+    quot = np.empty_like(block)
     for start in range(0, f, rows):
-        block = np.multiply.outer(steps[start : start + rows], offsets)
-        np.remainder(block, p, out=block)
-        table[block.ravel()] = labels[: block.size]
+        n = min(rows, f - start)
+        x, q = block[:n], quot[:n]
+        np.multiply(steps[start : start + n, None], offsets, out=x)
+        np.floor_divide(x, p, out=q)
+        q *= p
+        x -= q
+        table[x.ravel()] = labels[: x.size]
     return table
 
 
@@ -123,17 +136,18 @@ def pair_counts(classes, e):
     """The cyclotomic numbers (a,b)_e, e | m, as an int64 (e, e) array.
 
     Counts the class pairs (a, b) mod m of (v, v+1) in 64 x 64 bins and
-    folds them to (a mod e, b mod e).
+    folds them to (a mod e, b mod e): the bins, padded with zeros to k e
+    on each side, are a (k, e, k, e) array summed over its k axes.
     """
     joint = np.zeros(_LABELS * _LABELS, dtype=np.int64)
     for a, b in _pairs(classes):
         a *= _LABELS
         a += b
         joint += np.bincount(a, minlength=_LABELS * _LABELS)
-    r = np.arange(_LABELS) % e
-    out = np.zeros((e, e), dtype=np.int64)
-    np.add.at(out, (r[:, None], r[None, :]), joint.reshape(_LABELS, _LABELS))
-    return out
+    k = -(-_LABELS // e)
+    padded = np.zeros((k * e, k * e), dtype=np.int64)
+    padded[:_LABELS, :_LABELS] = joint.reshape(_LABELS, _LABELS)
+    return padded.reshape(k, e, k, e).sum(axis=(0, 2))
 
 
 def power_pair_hist(classes, e, i, j):

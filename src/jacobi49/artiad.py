@@ -8,10 +8,10 @@ that 7 itself is a seventh power, an intrinsic condition whose
 per-generator restatement is ind(7) = 0 (mod 7).
 
 The x-criterion is authoritative for classification: it is exact integer
-arithmetic on derived data.  The cubic-root criterion, the index formula
-for ind(7) from cyclotomic numbers, and the coefficient conditions of
-the two characterization lemmas are all recorded as evidence so every
-classification carries its own cross-checks.
+arithmetic on derived data.  The cubic-root criterion and the
+coefficient conditions of the two characterization lemmas are recorded
+as evidence, so every classification carries its own cross-checks.
+ind(7) mod 7 is read off 7^((p-1)/7) (prime_field.index_mod).
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from .congruence import CoefficientSet
 from .cyclotomy import CycNumberTable
 from .errors import InputError, InvariantViolation
 from .order7 import Sextuple
-from .prime_field import FieldContext, index_mod, index_of, is_seventh_power_residue
+from .prime_field import FieldContext, index_mod, is_seventh_power_residue
 
 
 def classify_via_x(sol: Sextuple) -> bool:
@@ -55,18 +55,6 @@ def cubic_roots(p: int) -> list[int]:
 def classify_via_cubic(ctx: FieldContext) -> bool:
     """Artiad test from the defining cubic, by Euler's criterion; needs p = 1 (mod 7)."""
     return all(is_seventh_power_residue(ctx, r) for r in cubic_roots(ctx.p))
-
-
-def ind7_muskat(cyc7: CycNumberTable, p: int) -> int:
-    """ind(7) mod 7 from the order-7 cyclotomic numbers:
-    (p - 1)/2 - sum_h h * (h, 0)_7."""
-    return ((p - 1) // 2 - sum(h * cyc7.cell(h, 0) for h in range(7))) % 7
-
-
-def ind7_mod49_relation(sol: Sextuple, ctx: FieldContext) -> bool:
-    """Check 28 * ind(7) = x2 - 19*x3 - 18*x4 (mod 49)."""
-    i7 = index_of(ctx, 7)
-    return (28 * i7 - (sol.x2 - 19 * sol.x3 - 18 * sol.x4)) % 49 == 0
 
 
 def _cond_b_rhs(sol: Sextuple, p: int) -> int:

@@ -202,9 +202,6 @@ class ClosedFormCoeffs:
     repaired: tuple[Fraction, ...]
     c7_stated: Fraction
 
-    def repaired_ints(self) -> tuple[int | None, ...]:
-        return tuple(int(v) if v.denominator == 1 else None for v in self.repaired)
-
     def to_json(self) -> dict:
         return {
             "stated": [str(v) for v in self.stated],

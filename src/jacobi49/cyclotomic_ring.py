@@ -199,10 +199,6 @@ class Residue8:
         return list(self.coeffs)
 
 
-def residue8(*coeffs: int) -> Residue8:
-    return Residue8(tuple(v % 7 for v in coeffs))
-
-
 def image_rows(rows, upto: int = 8) -> np.ndarray:
     """Images of the rows of an (r, 49) coefficient array in F_7[t]/(t^upto), upto <= 42.
 

@@ -14,11 +14,13 @@ The package has four routes to a Jacobi sum J(1,n)_e:
 
 The table itself is built from the last (cyclotomic_numbers): every
 cell lies in [0, p), so its residue, an inverse Fourier transform of the
-images, fixes it.  That route reads no class table.  The direct sum is
-the one route that does; it costs a pass over F_p, so the verification
-pipeline runs it once per prime, for J(1,1)_49, as the check on a table
-built by different mathematics.  The Fourier and Dickson-Hurwitz
-routes, and the identity suite, read the one table.
+images, fixes it.  That route reads no class table.  The direct sum
+does, at the cost of a pass over F_p for one J(i,j); the tests use it
+as their oracle.  The verification pipeline checks the table instead by
+counting it directly, every cell in one pass over the class table
+(_kernels.pair_counts), which is different mathematics from the
+factorials.  The Fourier and Dickson-Hurwitz routes, and the identity
+suite, read the one table.
 
 Both table routes are one array pass for all n at once.  Column n of
 the Dickson-Hurwitz table and J(1,n) before canonicalisation are row n
@@ -327,8 +329,10 @@ def identity_suite(cyc: CycNumberTable) -> list[str]:
     or is a unit multiple of some (d, d*m).
 
     With f even, chi^i(-1) = 1, so the identities hold for J itself.  The
-    suite makes no pass over F_p; the direct sum that checks the table
-    runs once per prime in the verification pipeline.
+    suite makes no pass over F_p; the direct pair count that checks the
+    table runs once per prime in the verification pipeline.  A table
+    permuted by a unit s, the true table of another generator, passes
+    the suite; the count tells it apart.
     """
     e, p = cyc.e, cyc.p
     if ((p - 1) // e) % 2 != 0:

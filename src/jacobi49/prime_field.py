@@ -10,7 +10,8 @@ on first use and then kept:
   * factorials, (k (p-1)/m)! mod p for k = 0..m-1, from which the
     cyclotomic numbers are computed (cyclotomy.cyclotomic_numbers);
   * classes, ind(a) mod m as one uint8 per field element, which only
-    the direct character sums read.
+    the direct counts read: the pair count that checks the cyclotomic
+    numbers in verification, and the direct character sums.
 
 A single full logarithm (index_of) comes from Pohlig-Hellman, ind(a)
 mod e for e | m (index_mod) from a^((p-1)/e), and the seventh-power test

@@ -11,6 +11,7 @@ always means something is actually wrong.
 
 from dataclasses import dataclass, field
 
+from . import _kernels
 from . import artiad as artiad_mod
 from .congruence import (CoefficientSet, adjudicate_closed_forms,
                          c7_closed_form_fitted, coefficient_sets, coeffs_by_definition,
@@ -19,7 +20,7 @@ from .congruence import (CoefficientSet, adjudicate_closed_forms,
 from .cyclotomic_ring import CyclotomicInt, Residue8, image_rows, residue_mod_t8
 from .cyclotomy import (CycNumberTable, DicksonHurwitzTable, cyclotomic_numbers,
                         dickson_hurwitz, jacobi_from_cyc, jacobi_rows,
-                        jacobi_rows_via_dh, jacobi_sum, identity_suite)
+                        jacobi_rows_via_dh, identity_suite)
 from .errors import InputError
 from .order7 import (DiophantineReport, ReconstructionReport, Sextuple, TUPair,
                      match_reconstruction, solution_from_tables, tu_decompose,
@@ -102,9 +103,10 @@ class PrimeStep:
     """The per-prime results that verify_prime and classify_prime share.
 
     coeffs1 (the n = 1 coefficient set) and actual1 (the residue of
-    J(1,1)_49) are None unless p = 1 (mod 49).  direct1 (J(1,1)_49 summed
-    directly over F_p, whose residue actual1 then is) and
-    identity_suite_ok are None where the checks did not run.
+    J(1,1)_49) are None unless p = 1 (mod 49).  direct1 (J(1,1)_49 read
+    off the order-49 table counted directly over F_p, whose residue
+    actual1 then is) and identity_suite_ok are None where the checks did
+    not run.
     discrepancies are the bundle-level ones, carried by every certificate
     of the prime.
     """
@@ -121,16 +123,25 @@ class PrimeStep:
 def _prime_step(p: int, gamma: int | None, with_checks: bool) -> PrimeStep:
     """Bundle, classification, n = 1 data and bundle-level discrepancies.
 
-    with_checks sums J(1,1)_49 directly over F_p, the one pass that reads
-    the class table, and runs the identity suite, at every index pair, on
-    the order-49 table.  Without them J(1,1)_49 is read off that table.
+    with_checks counts the order-49 table directly over F_p, the one pass
+    that reads the class table, and compares it cell for cell with the
+    factorial-built table, and its fold to order 7 with the order-7
+    table; J(1,1)_49 is then read off the counted table.  It also runs
+    the identity suite, at every index pair, on the factorial-built
+    table.  Without the checks J(1,1)_49 is read off that table.
     """
     bundle = prepare_prime(p, gamma)
     coeffs1 = direct1 = actual1 = suite_ok = None
+    counted_ok = folded_ok = True
     if bundle.dh49 is not None:
         coeffs1 = coeffs_by_definition(bundle.dh7, 1, s_value=s_direct(bundle.dh49, 1))
         if with_checks:
-            direct1 = jacobi_sum(bundle.ctx, 49, 1, 1)
+            counts = _kernels.pair_counts(bundle.ctx.classes_for(49), 49)
+            counted_ok = (counts == bundle.cyc49.counts).all()
+            folded_ok = (counts.reshape(7, 7, 7, 7).sum(axis=(0, 2))
+                         == bundle.cyc7.counts).all()
+            counted = CycNumberTable(e=49, p=p, gamma=bundle.ctx.gamma, counts=counts)
+            direct1 = jacobi_from_cyc(counted, 1, 1)
             actual1 = residue_mod_t8(direct1)
             suite_ok = not identity_suite(bundle.cyc49)
         else:
@@ -146,6 +157,10 @@ def _prime_step(p: int, gamma: int | None, with_checks: bool) -> PrimeStep:
         discrepancies.append("sextuple fails the norm equation")
     if suite_ok is False:
         discrepancies.append("elementary Jacobi-sum identity suite failed")
+    if not counted_ok:
+        discrepancies.append("order-49 table differs from the direct pair count")
+    if not folded_ok:
+        discrepancies.append("order-7 table differs from the folded direct pair count")
     ev = classification.evidence
     if ev.via_x != ev.via_cubic:
         discrepancies.append("artiad criteria disagree (x-test vs cubic roots)")
@@ -194,11 +209,13 @@ def verify_prime(p: int, gamma: int | None = None,
     """Run the full congruence verification for each n; p must be 1 (mod 49).
 
     Every Jacobi sum is read off the order-49 cyclotomic-number table,
-    which is built from factorials mod p, except J(1,1)_49, which is also
-    summed directly over F_p once, from the class table, and compared with
-    the table at n = 1: that one pass checks the table by independent
-    means.  The elementary-identity suite runs on the same table at every
-    index pair.
+    which is built from factorials mod p.  One pass over the class table
+    counts the same table directly over F_p, and every cell of it, and of
+    the order-7 table through the fold, is compared with the count: that
+    pass checks both tables by independent means.  J(1,1)_49 is read off
+    the counted table and compared with the factorial-built one at n = 1.
+    The elementary-identity suite runs on the factorial-built table at
+    every index pair.
     """
     if (p - 1) % 49 != 0:
         raise InputError(f"p = {p} is not 1 (mod 49)")
@@ -246,9 +263,9 @@ def _certificate_for_n(step: PrimeStep, row: NRow) -> Certificate:
         if not s_agree:
             discrepancies.append(f"S({n}) direct and order-7 paths disagree")
 
-    # Jacobi agreement for this n: direct sum, Fourier and Dickson-Hurwitz
-    # at n = 1; for n != 1 the residue is read off the table, so this
-    # compares the two expansions of the same table.
+    # Jacobi agreement for this n: counted table, Fourier and
+    # Dickson-Hurwitz at n = 1; for n != 1 the residue is read off the
+    # factorial-built table, so this compares its two expansions.
     three_path = row.via_dh == direct == row.via_cyc
     if not three_path:
         discrepancies.append(f"Jacobi sum paths disagree at n = {n}")

@@ -2,9 +2,8 @@ import pytest
 
 from jacobi49 import _kernels
 from jacobi49.artiad import (classify_from_parts, classify_via_cubic,
-                             classify_via_x, cubic_roots, ind7_mod49_relation,
-                             ind7_muskat, artiad_conditions, hyperartiad_conditions,
-                             simplified_residue)
+                             classify_via_x, cubic_roots, artiad_conditions,
+                             hyperartiad_conditions, simplified_residue)
 from jacobi49.cli import primes_in_range
 from jacobi49.congruence import coeffs_by_definition, s_direct
 from jacobi49.cyclotomic_ring import residue_mod_t8
@@ -13,6 +12,7 @@ from jacobi49.errors import InputError
 from jacobi49.order7 import Sextuple, orbit, trivial_solutions, tu_decompose
 from jacobi49.prime_field import index_of
 from jacobi49.verify import classify_prime, verify_prime
+from oracles import ind7_mod49_relation, ind7_muskat
 
 P14_1000 = primes_in_range(2, 1000, 14)
 P49_3000 = primes_in_range(2, 3000, 49)

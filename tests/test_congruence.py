@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from jacobi49 import cyclotomic_ring, cyclotomy, verify
@@ -9,11 +10,12 @@ from jacobi49.congruence import (SIX_CLASS_REPS, adjudicate_closed_forms,
                                  coeffs_by_definition, coeffs_closed_form, lambda_pair,
                                  lambda_single, predicted_residue, s_direct,
                                  s_direct_all, s_lemma, s_lemma_all)
-from jacobi49.cyclotomic_ring import CyclotomicInt, image_rows, residue8, residue_mod_t8
+from jacobi49.cyclotomic_ring import CyclotomicInt, image_rows, residue_mod_t8
 from jacobi49.cyclotomy import (DicksonHurwitzTable, dickson_hurwitz, identity_suite,
                                 jacobi_from_cyc, jacobi_rows, jacobi_sum, six_class)
 from jacobi49.errors import InputError, InvariantViolation
 from jacobi49.verify import classify_prime, verify_prime
+from oracles import residue8
 
 P49_SMALL = primes_in_range(2, 5000, 49)
 
@@ -161,18 +163,19 @@ def test_actual_residue_taken_from_direct_sum(bundle):
 @pytest.mark.parametrize("identities", ["pipeline", "full"])
 def test_verify_prime_passes_over_field(kernel_calls, bundle, identities):
     # Every J(i,j)_49 is read off the table built from factorials mod p;
-    # the only direct character sum per prime is J(1,1)_49, the check on
-    # that table, and the only reader of the class table.  The cubic's
-    # roots come in closed form.  The identity suite over all 49 x 49
-    # pairs of the same table runs inside verify_prime, and run again on
-    # its own ("full") it makes no pass over F_p either.
+    # the only pass over the class table is one pair count of the whole
+    # order-49 table, the check on that table, and no direct character
+    # sum runs.  The cubic's roots come in closed form.  The identity
+    # suite over all 49 x 49 pairs of the same table runs inside
+    # verify_prime, and run again on its own ("full") it makes no pass
+    # over F_p either.
     certs = verify_prime(197)
     assert all(c.match and not c.discrepancies for c in certs)
     assert sum(kernel_calls.values()) <= 3, kernel_calls
     assert kernel_calls["block_factorials"] == 1
     assert kernel_calls["index_table"] == 1
-    assert kernel_calls["pair_counts"] == 0
-    assert kernel_calls["power_pair_hist"] == 1
+    assert kernel_calls["pair_counts"] == 1
+    assert kernel_calls["power_pair_hist"] == 0
     assert kernel_calls["power_pair_hist_variant"] == 0
     assert kernel_calls["cubic_roots"] == 0
     if identities == "full":
@@ -229,6 +232,47 @@ def test_direct_sum_catches_a_wrong_table(monkeypatch):
     # the identity suite reads the same table at every pair and catches it too
     assert cert.cross_checks["identity_suite_ok"] is False
     assert "elementary Jacobi-sum identity suite failed" in cert.discrepancies
+
+
+COUNTED_49 = "order-49 table differs from the direct pair count"
+FOLDED_7 = "order-7 table differs from the folded direct pair count"
+
+
+def _permute_by_unit(s, e):
+    """counts[a, b] <- counts[a/s, b/s] mod e.
+
+    For a unit s this is the true table of another generator.
+    """
+    cells = np.arange(e) * pow(s, -1, e) % e
+
+    def permute(counts):
+        counts[...] = counts[np.ix_(cells, cells)]
+
+    return permute
+
+
+@pytest.mark.parametrize("p", [197, 60271, 1000679])
+def test_pair_count_catches_the_table_of_another_generator(monkeypatch, p):
+    # Permuted by the unit 8 = 1 (mod 7), the order-49 table is the true
+    # table for another generator: its total, its even-f classes and every
+    # identity of the suite hold, and its fold to order 7 is still the
+    # order-7 table.  Only the direct pair count sees it.
+    _shift_the_factorial_table(monkeypatch, 49, _permute_by_unit(8, 49))
+    cert = verify_prime(p, ns=(1,))[0]
+    assert cert.cross_checks["identity_suite_ok"] is True
+    assert COUNTED_49 in cert.discrepancies
+    assert FOLDED_7 not in cert.discrepancies
+
+
+@pytest.mark.parametrize("p", [197, 60271])
+def test_folded_pair_count_catches_a_wrong_order7_table(monkeypatch, p):
+    # The order-7 table alone, permuted by the unit 3 mod 7: the order-49
+    # table still matches its count, and the fold of the count does not
+    # match the order-7 table.
+    _shift_the_factorial_table(monkeypatch, 7, _permute_by_unit(3, 7))
+    cert = verify_prime(p, ns=(1,))[0]
+    assert FOLDED_7 in cert.discrepancies
+    assert COUNTED_49 not in cert.discrepancies
 
 
 @pytest.mark.parametrize("p,e", [(43, 7), (197, 7), (197, 49)])
@@ -293,12 +337,12 @@ def test_verify_prime_products(monkeypatch):
     # in three batches (J(0,1) and J(0,7); J(1,m); J(7,7m)), and the norms
     # of the 52 Galois representatives are one array product, with no
     # CyclotomicInt product.  The n loop reads all 48 J(1,n) in one more
-    # batch; the one residue taken element by element is that of the
-    # direct sum J(1,1)_49.
+    # batch.  J(1,1)_49 is read off the pair-counted table as one row, and
+    # its residue is the one taken element by element.
     calls = _count_calls(monkeypatch)
     certs = verify_prime(197)
     assert all(c.match and not c.discrepancies for c in certs)
-    assert calls == {"mul": 0, "jacobi_from_cyc": 0, "jacobi_rows": 4,
+    assert calls == {"mul": 0, "jacobi_from_cyc": 1, "jacobi_rows": 5,
                      "residue_mod_t8": 1}, calls
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobi49 import _kernels
 from jacobi49.errors import DomainError, InputError
 from jacobi49.prime_field import (MAX_PRIME, _prime_factors, build_ctx, find_generator,
                                   index_of, is_prime, is_primitive_root,
@@ -99,6 +100,37 @@ def test_index_table_bijective(p):
     assert ctx.m == math.gcd(p - 1, 49)
     assert ctx.classes[1:].tolist() == [k % ctx.m for k in ref[1:]]
     assert np.bincount(ctx.classes[1:]).tolist() == [(p - 1) // ctx.m] * ctx.m
+
+
+def index_table_by_remainder(p: int, gamma: int, m: int) -> np.ndarray:
+    """The class table from the same outer product, reduced by np.remainder.
+
+    It takes blocks of 2**20 elements: one block for p below 2**20.
+    """
+    f = (p - 1) // m
+    steps = _kernels._powers(pow(gamma, m, p), f, p)
+    offsets = _kernels._powers(gamma, m, p)
+    table = np.empty(p, dtype=np.uint8)
+    table[0] = _kernels.UNDEFINED
+    rows = max(1, min(f, (1 << 20) // m))
+    labels = np.tile(np.arange(m, dtype=np.uint8), rows)
+    for start in range(0, f, rows):
+        block = np.multiply.outer(steps[start : start + rows], offsets)
+        np.remainder(block, p, out=block)
+        table[block.ravel()] = labels[: block.size]
+    return table
+
+
+@pytest.mark.parametrize("p,gamma,m", [(29, None, 7), (43, None, 7), (197, None, 49),
+                                       (60271, None, 49), (60271, 33, 49),
+                                       (4500007, None, 7), (1000679, None, 49)])
+def test_index_table_matches_the_remainder_oracle(p, gamma, m):
+    # index_table reduces each block as x - (x // p) * p, a block of rows
+    # at a time; the last block of the larger fields is a partial one
+    ctx = build_ctx(p, gamma)
+    assert ctx.m == m
+    table = _kernels.index_table(p, ctx.gamma, m)
+    assert (table == index_table_by_remainder(p, ctx.gamma, m)).all()
 
 
 @given(a=st.integers(1, 196), b=st.integers(1, 196))
