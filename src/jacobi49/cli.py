@@ -139,11 +139,13 @@ def _csv_text(rows) -> str:
 
 def _scan_results(tasks: list, jobs: int):
     """_scan_one of each task, in task order, from a pool when it pays."""
-    if jobs == 1 or len(tasks) <= 1:
+    # fork starts every worker at the first submit: no more than there is
+    # work, and no more than there are CPUs this process may run on
+    workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
+    if workers <= 1:
         yield from map(_scan_one, tasks)
         return
-    # fork starts every worker at the first submit: no more than there is work
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_scan_one, tasks)
 
 

@@ -24,9 +24,13 @@ def _random_element(rng: random.Random) -> CyclotomicInt:
     return CyclotomicInt(49, [rng.randrange(-50, 51) for _ in range(49)])
 
 
-def run_selfchecks(pairs: int = 100, seed: int = 7) -> list[tuple[str, bool]]:
+PAIRS = 100   # random pairs of the homomorphism check
+SEED = 7
+
+
+def run_selfchecks() -> list[tuple[str, bool]]:
     """Run every check; returns (name, passed) pairs."""
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     results = []
 
     results.append(("cyclotomic polynomial at 1 + t is t^42 over F_7",
@@ -43,7 +47,7 @@ def run_selfchecks(pairs: int = 100, seed: int = 7) -> list[tuple[str, bool]]:
                     and valuation(CyclotomicInt.from_int(49, 7)) == 42))
 
     hom_ok = True
-    for _ in range(pairs):
+    for _ in range(PAIRS):
         a, b = _random_element(rng), _random_element(rng)
         if residue_mod_t8(a * b) != residue_mod_t8(a) * residue_mod_t8(b):
             hom_ok = False
@@ -53,7 +57,7 @@ def run_selfchecks(pairs: int = 100, seed: int = 7) -> list[tuple[str, bool]]:
                 zip(residue_mod_t8(a).coeffs, residue_mod_t8(b).coeffs)):
             hom_ok = False
             break
-    results.append((f"residue map is a ring homomorphism ({pairs} random pairs)",
+    results.append((f"residue map is a ring homomorphism ({PAIRS} random pairs)",
                     hom_ok))
 
     ctx = build_ctx(29)

@@ -1,4 +1,14 @@
-"""Per-prime verification pipeline and the certificate records it emits.
+"""The per-prime pipeline, run_prime, and the certificate records it emits.
+
+run_prime builds a prime's tables once (prepare_prime) and reads from
+them, for n = 1 and for every n it verifies, one column per quantity:
+the coefficient sets, S(n) off the order-49 table and mod 7 off the
+order-7 table, and J(1,n)_49 on three paths with its residue in
+F_7[t]/(t^8).  Each check is decided once: over n as a column (S
+agreement, the weak congruence, predicted vs actual, three-path
+agreement), or once for the prime.  The certificates are views of those
+columns.  verify_prime (one certificate per n) and classify_prime (the
+classification record, n = None) are its two entry points.
 
 A certificate is self-contained evidence for one (p, n) pair: the
 predicted and directly-computed congruence residues, every coefficient
@@ -11,16 +21,17 @@ always means something is actually wrong.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import _kernels
 from . import artiad as artiad_mod
-from .congruence import (CoefficientSet, adjudicate_closed_forms,
-                         c7_closed_form_fitted, coefficient_sets, coeffs_by_definition,
-                         coeffs_closed_form, predicted_residue, s_direct,
-                         s_direct_all, s_lemma, s_lemma_all)
-from .cyclotomic_ring import CyclotomicInt, Residue8, image_rows, residue_mod_t8
+from .congruence import (adjudicate_closed_forms, c7_closed_form_fitted,
+                         coefficient_sets, coeffs_closed_form, predicted_residue,
+                         s_direct_all, s_lemma_all)
+from .cyclotomic_ring import Residue8, image_rows
 from .cyclotomy import (CycNumberTable, DicksonHurwitzTable, cyclotomic_numbers,
-                        dickson_hurwitz, jacobi_from_cyc, jacobi_rows,
-                        jacobi_rows_via_dh, identity_suite)
+                        dickson_hurwitz, jacobi_rows, jacobi_rows_via_dh,
+                        identity_suite)
 from .errors import InputError
 from .order7 import (DiophantineReport, ReconstructionReport, Sextuple, TUPair,
                      match_reconstruction, solution_from_tables, tu_decompose,
@@ -98,204 +109,130 @@ def prepare_prime(p: int, gamma: int | None = None) -> PrimeBundle:
                        recon=recon, dio=dio, cyc49=cyc49, dh49=dh49)
 
 
-@dataclass(frozen=True)
-class PrimeStep:
-    """The per-prime results that verify_prime and classify_prime share.
+def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> list[Certificate]:
+    """The certificates of p: one per n in ns, or the classification record if ns is None.
 
-    coeffs1 (the n = 1 coefficient set) and actual1 (the residue of
-    J(1,1)_49) are None unless p = 1 (mod 49).  direct1 (J(1,1)_49 read
-    off the order-49 table counted directly over F_p, whose residue
-    actual1 then is) and identity_suite_ok are None where the checks did
-    not run.
-    discrepancies are the bundle-level ones, carried by every certificate
-    of the prime.
-    """
-
-    bundle: PrimeBundle
-    classification: artiad_mod.Classification
-    coeffs1: CoefficientSet | None
-    direct1: CyclotomicInt | None
-    actual1: Residue8 | None
-    identity_suite_ok: bool | None
-    discrepancies: tuple[str, ...]
-
-
-def _prime_step(p: int, gamma: int | None, with_checks: bool) -> PrimeStep:
-    """Bundle, classification, n = 1 data and bundle-level discrepancies.
-
-    with_checks counts the order-49 table directly over F_p, the one pass
-    that reads the class table, and compares it cell for cell with the
-    factorial-built table, and its fold to order 7 with the order-7
-    table; J(1,1)_49 is then read off the counted table.  It also runs
-    the identity suite, at every index pair, on the factorial-built
-    table.  Without the checks J(1,1)_49 is read off that table.
+    Row 0 of every column is n = 1, which the classification reads; the
+    other rows are the n in ns.  J(1,n)_49 is read off the order-49
+    table built from factorials mod p.  When n values are verified, one
+    pass over the class table counts that table directly over F_p, and
+    every cell of it, and of the order-7 table through the fold, is
+    compared with the count; J(1,1)_49 is then read off the counted table,
+    so at n = 1 the three paths compare two tables.  The identity suite
+    runs at every index pair of the factorial-built table.
     """
     bundle = prepare_prime(p, gamma)
-    coeffs1 = direct1 = actual1 = suite_ok = None
+    ctx, cyc49, dh49 = bundle.ctx, bundle.cyc49, bundle.dh49
+    sol, recon = bundle.sol, bundle.recon
+    rows = (1,) if ns is None else (1, *ns)
+
+    # S(n) off the order-49 table, and mod 7 off the order-7 table alone,
+    # which gives no value for 7 | n: there S(n) must vanish mod 7.
+    lemma = s_lemma_all(bundle.cyc7).tolist()
+    s_lemmas = [lemma[n % 7] if n % 7 else None for n in rows]
+    s_values = ([None] * len(rows) if dh49 is None
+                else s_direct_all(dh49)[list(rows)].tolist())
+    s_agree = [None if sd is None else sd % 7 == (sl or 0)
+               for sd, sl in zip(s_values, s_lemmas)]
+    coeffs = coefficient_sets(bundle.dh7, rows, s_values)
+
     counted_ok = folded_ok = True
-    if bundle.dh49 is not None:
-        coeffs1 = coeffs_by_definition(bundle.dh7, 1, s_value=s_direct(bundle.dh49, 1))
-        if with_checks:
-            counts = _kernels.pair_counts(bundle.ctx.classes_for(49), 49)
-            counted_ok = (counts == bundle.cyc49.counts).all()
+    suite_ok = None
+    actual = predicted = match = weak = three_path = [None] * len(rows)
+    if dh49 is not None:
+        via_cyc = jacobi_rows(cyc49, 1, rows)
+        direct = via_cyc.copy()
+        if ns:
+            counts = _kernels.pair_counts(ctx.classes_for(49), 49)
+            counted_ok = (counts == cyc49.counts).all()
             folded_ok = (counts.reshape(7, 7, 7, 7).sum(axis=(0, 2))
                          == bundle.cyc7.counts).all()
-            counted = CycNumberTable(e=49, p=p, gamma=bundle.ctx.gamma, counts=counts)
-            direct1 = jacobi_from_cyc(counted, 1, 1)
-            actual1 = residue_mod_t8(direct1)
-            suite_ok = not identity_suite(bundle.cyc49)
-        else:
-            actual1 = residue_mod_t8(jacobi_from_cyc(bundle.cyc49, 1, 1))
+            counted = CycNumberTable(e=49, p=p, gamma=ctx.gamma, counts=counts)
+            direct[np.equal(rows, 1)] = jacobi_rows(counted, 1, (1,))
+            suite_ok = not identity_suite(cyc49)
+        images = image_rows(direct)
+        actual = [Residue8(tuple(image)) for image in images.tolist()]
+        predicted = [predicted_residue(cs) for cs in coeffs]
+        match = [a == b for a, b in zip(predicted, actual)]
+        # the weak classical congruence J = -1 mod (1 - zeta)^3
+        weak = (images[:, :3] == (6, 0, 0)).all(axis=1).tolist()
+        # Dickson-Hurwitz, Fourier and direct; direct is the Fourier row
+        # for n != 1, so there this compares the table's two expansions
+        three_path = ((jacobi_rows_via_dh(dh49, rows) == direct).all(axis=1)
+                      & (direct == via_cyc).all(axis=1)).tolist()
+
     classification = artiad_mod.classify_from_parts(
-        bundle.ctx, bundle.cyc7, bundle.sol, coeffs1=coeffs1, actual_residue=actual1,
-        u_signed=bundle.recon.u_signed)
-
-    discrepancies: list[str] = []
-    if not bundle.recon.matched:
-        discrepancies.append("order-7 table reconstruction from the sextuple failed")
-    if not bundle.dio.norm:
-        discrepancies.append("sextuple fails the norm equation")
-    if suite_ok is False:
-        discrepancies.append("elementary Jacobi-sum identity suite failed")
-    if not counted_ok:
-        discrepancies.append("order-49 table differs from the direct pair count")
-    if not folded_ok:
-        discrepancies.append("order-7 table differs from the folded direct pair count")
+        ctx, bundle.cyc7, sol, coeffs1=None if dh49 is None else coeffs[0],
+        actual_residue=actual[0], u_signed=recon.u_signed)
     ev = classification.evidence
-    if ev.via_x != ev.via_cubic:
-        discrepancies.append("artiad criteria disagree (x-test vs cubic roots)")
-    return PrimeStep(bundle=bundle, classification=classification, coeffs1=coeffs1,
-                     direct1=direct1, actual1=actual1, identity_suite_ok=suite_ok,
-                     discrepancies=tuple(discrepancies))
+    per_prime = tuple(text for failed, text in (
+        (not recon.matched, "order-7 table reconstruction from the sextuple failed"),
+        (not bundle.dio.norm, "sextuple fails the norm equation"),
+        (suite_ok is False, "elementary Jacobi-sum identity suite failed"),
+        (not counted_ok, "order-49 table differs from the direct pair count"),
+        (not folded_ok, "order-7 table differs from the folded direct pair count"),
+        (ev.via_x != ev.via_cubic, "artiad criteria disagree (x-test vs cubic roots)"),
+    ) if failed)
 
+    closed_json, closed_flags = None, ()
+    if ns and 1 in ns:
+        closed = coeffs_closed_form(sol, p)
+        fitted = None
+        if recon.u_signed is not None:
+            fitted = c7_closed_form_fitted(sol, p, recon.u_signed)
+        adj = adjudicate_closed_forms(closed, coeffs[0], fitted)
+        closed_json = {"values": closed.to_json(), "adjudication": adj.to_json()}
+        if adj.unexplained_rows:
+            closed_flags = (f"closed-form rows {list(adj.unexplained_rows)} fail beyond "
+                            f"the known transcription defects",)
 
-@dataclass(frozen=True)
-class NRow:
-    """What the certificate of one n compares, read off arrays batched over n."""
+    def certificate(i: int) -> Certificate:
+        n = rows[i]
+        flags = []
+        if match[i] is False:
+            flags.append(f"predicted residue differs from actual at n = {n}")
+        if weak[i] is False:
+            flags.append("weak congruence J = -1 mod (1-zeta)^3 fails")
+        if s_agree[i] is False:
+            flags.append(f"S({n}) not divisible by 7 despite 7 | n" if n % 7 == 0
+                         else f"S({n}) direct and order-7 paths disagree")
+        if three_path[i] is False:
+            flags.append(f"Jacobi sum paths disagree at n = {n}")
+        if n == 1:
+            flags.extend(closed_flags)
+        return Certificate(
+            p=p, gamma=ctx.gamma, n=None if ns is None else n,
+            predicted=predicted[i], actual=actual[i], match=match[i],
+            coeffs={"definition": coeffs[i].to_json(),
+                    "closed_form": closed_json if n == 1 else None,
+                    "s_paths": {"direct": s_values[i], "lemma": s_lemmas[i],
+                                "agree_mod7": s_agree[i]}},
+            lw=sol, tu=bundle.tu, classification=classification,
+            cross_checks={"table_reconstruction": recon.to_json(),
+                          "diophantine": bundle.dio.to_json(),
+                          "identity_suite_ok": suite_ok,
+                          "weak_congruence_ok": weak[i],
+                          "three_path_agree": three_path[i]},
+            discrepancies=tuple(flags) + per_prime,
+        )
 
-    n: int
-    via_cyc: tuple[int, ...]   # J(1,n)_49 off the cyclotomic-number table, canonical
-    via_dh: tuple[int, ...]    # J(1,n)_49 from column n of the Dickson-Hurwitz table
-    actual: Residue8           # the image of via_cyc in F_7[t]/(t^8)
-    coeffs: CoefficientSet     # c_{1..6,n} and S(n)
-    s_lemma: int               # S(n) mod 7 from the order-7 table alone
-
-
-def _n_rows(bundle: PrimeBundle, ns: tuple[int, ...]) -> list[NRow]:
-    """The rows of every n in ns, each kind from one array pass over the prime's tables."""
-    via_cyc = jacobi_rows(bundle.cyc49, 1, ns)
-    via_dh = jacobi_rows_via_dh(bundle.dh49, ns).tolist()
-    images = image_rows(via_cyc).tolist()
-    coeffs = coefficient_sets(bundle.dh7, ns, s_direct_all(bundle.dh49)[list(ns)].tolist())
-    lemma = s_lemma_all(bundle.cyc7).tolist()
-    return [NRow(n=n, via_cyc=tuple(cyc), via_dh=tuple(dh), actual=Residue8(tuple(image)),
-                 coeffs=cs, s_lemma=lemma[n % 7])
-            for n, cyc, dh, image, cs in zip(ns, via_cyc.tolist(), via_dh, images, coeffs)]
-
-
-def _cross_checks(step: PrimeStep, weak_ok: bool | None = None,
-                  three_path: bool | None = None) -> dict:
-    return {
-        "table_reconstruction": step.bundle.recon.to_json(),
-        "diophantine": step.bundle.dio.to_json(),
-        "identity_suite_ok": step.identity_suite_ok,
-        "weak_congruence_ok": weak_ok,
-        "three_path_agree": three_path,
-    }
+    if ns is None:
+        # the classification record: the S paths of n = 1, no congruence part
+        predicted = actual = match = weak = three_path = [None]
+        return [certificate(0)]
+    return [certificate(i) for i in range(1, len(rows))]
 
 
 def verify_prime(p: int, gamma: int | None = None,
                  ns: tuple[int, ...] | None = None) -> list[Certificate]:
-    """Run the full congruence verification for each n; p must be 1 (mod 49).
-
-    Every Jacobi sum is read off the order-49 cyclotomic-number table,
-    which is built from factorials mod p.  One pass over the class table
-    counts the same table directly over F_p, and every cell of it, and of
-    the order-7 table through the fold, is compared with the count: that
-    pass checks both tables by independent means.  J(1,1)_49 is read off
-    the counted table and compared with the factorial-built one at n = 1.
-    The elementary-identity suite runs on the factorial-built table at
-    every index pair.
-    """
+    """The congruence certificate of each n in ns (all 48 by default); p = 1 (mod 49)."""
     if (p - 1) % 49 != 0:
         raise InputError(f"p = {p} is not 1 (mod 49)")
     ns = ALL_N if ns is None else tuple(ns)
     bad = [n for n in ns if not 1 <= n <= 48]
     if bad:
         raise InputError(f"n values out of range 1..48: {bad}")
-    step = _prime_step(p, gamma, with_checks=True)
-    return [_certificate_for_n(step, row) for row in _n_rows(step.bundle, ns)]
-
-
-def _certificate_for_n(step: PrimeStep, row: NRow) -> Certificate:
-    bundle = step.bundle
-    ctx, sol, tu = bundle.ctx, bundle.sol, bundle.tu
-    p = ctx.p
-    n, coeffs = row.n, row.coeffs
-    discrepancies: list[str] = []
-
-    if n == 1:
-        direct = step.direct1.coeffs
-        actual = step.actual1
-    else:
-        direct = row.via_cyc
-        actual = row.actual
-    predicted = predicted_residue(coeffs)
-    match = predicted == actual
-    if not match:
-        discrepancies.append(f"predicted residue differs from actual at n = {n}")
-
-    # weak classical congruence: J = -1 mod (1 - zeta)^3
-    weak_ok = actual.coeffs[0] == 6 and actual.coeffs[1] == 0 and actual.coeffs[2] == 0
-    if not weak_ok:
-        discrepancies.append("weak congruence J = -1 mod (1-zeta)^3 fails")
-
-    # S(n) two-path comparison
-    sd = coeffs.s_value
-    if coeffs.n_prime == 0:
-        sl = None
-        s_agree = sd % 7 == 0
-        if not s_agree:
-            discrepancies.append(f"S({n}) not divisible by 7 despite 7 | n")
-    else:
-        sl = row.s_lemma
-        s_agree = sl == sd % 7
-        if not s_agree:
-            discrepancies.append(f"S({n}) direct and order-7 paths disagree")
-
-    # Jacobi agreement for this n: counted table, Fourier and
-    # Dickson-Hurwitz at n = 1; for n != 1 the residue is read off the
-    # factorial-built table, so this compares its two expansions.
-    three_path = row.via_dh == direct == row.via_cyc
-    if not three_path:
-        discrepancies.append(f"Jacobi sum paths disagree at n = {n}")
-
-    closed_json = None
-    if n == 1:
-        closed = coeffs_closed_form(sol, p)
-        fitted = None
-        if bundle.recon.u_signed is not None:
-            fitted = c7_closed_form_fitted(sol, p, bundle.recon.u_signed)
-        adj = adjudicate_closed_forms(closed, coeffs, fitted)
-        closed_json = {"values": closed.to_json(), "adjudication": adj.to_json()}
-        if adj.unexplained_rows:
-            discrepancies.append(
-                f"closed-form rows {list(adj.unexplained_rows)} fail beyond the "
-                f"known transcription defects")
-
-    coeffs_block = {
-        "definition": coeffs.to_json(),
-        "closed_form": closed_json,
-        "s_paths": {"direct": sd, "lemma": sl, "agree_mod7": s_agree},
-    }
-    return Certificate(
-        p=p, gamma=ctx.gamma, n=n,
-        predicted=predicted, actual=actual, match=match,
-        coeffs=coeffs_block, lw=sol, tu=tu,
-        classification=step.classification,
-        cross_checks=_cross_checks(step, weak_ok, three_path),
-        discrepancies=tuple(discrepancies) + step.discrepancies,
-    )
+    return run_prime(p, gamma, ns)
 
 
 def classify_prime(p: int, gamma: int | None = None) -> Certificate:
@@ -303,21 +240,4 @@ def classify_prime(p: int, gamma: int | None = None) -> Certificate:
 
     Builds no class table: the one pass over F_p is the factorial product.
     """
-    step = _prime_step(p, gamma, with_checks=False)
-    bundle, coeffs1 = step.bundle, step.coeffs1
-    sl = s_lemma(bundle.cyc7, 1)
-    coeffs_block = {
-        "definition": coeffs1.to_json() if coeffs1 is not None
-        else coeffs_by_definition(bundle.dh7, 1).to_json(),
-        "closed_form": None,
-        "s_paths": {"direct": None if coeffs1 is None else coeffs1.s_value,
-                    "lemma": sl,
-                    "agree_mod7": None if coeffs1 is None else sl == coeffs1.s_value % 7},
-    }
-    return Certificate(
-        p=p, gamma=bundle.ctx.gamma, n=None,
-        predicted=None, actual=None, match=None,
-        coeffs=coeffs_block, lw=bundle.sol, tu=bundle.tu,
-        classification=step.classification, cross_checks=_cross_checks(step),
-        discrepancies=step.discrepancies,
-    )
+    return run_prime(p, gamma, None)[0]

@@ -208,8 +208,11 @@ def test_scan_matches_the_whole_report_encoding(tmp_path, capsys, fmt, all_n, jo
         assert len(json.loads(got)["certificates"]) == 17 + 2 * (48 if all_n else 1)
 
 
-def test_scan_pool_sized_to_the_work(tmp_path, capsys, monkeypatch):
-    # A stub pool that records its size and maps inline: no process starts.
+def _inline_pool(monkeypatch, cpus: int) -> list[int]:
+    """A stub pool that records its size and maps inline: no process starts.
+
+    The process may run on cpus CPUs, whatever the machine has.
+    """
     sizes = []
 
     class InlinePool:
@@ -226,10 +229,25 @@ def test_scan_pool_sized_to_the_work(tmp_path, capsys, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return sizes
+
+
+def test_scan_pool_sized_to_the_work(tmp_path, capsys, monkeypatch):
+    sizes = _inline_pool(monkeypatch, cpus=64)
     code, _, _ = run_cli(capsys, "scan", "--min", "190", "--max", "500", "--modulus", "49",
                          "--output", str(tmp_path / "r.json"), "--jobs", "64")
     assert code == 0
     assert sizes == [2]  # 197 and 491
+
+
+def test_scan_pool_sized_to_the_cpus(tmp_path, capsys, monkeypatch):
+    # 28 primes and --jobs 5000, on a process that may run on 3 CPUs
+    sizes = _inline_pool(monkeypatch, cpus=3)
+    code, _, _ = run_cli(capsys, "scan", "--min", "2", "--max", "1000", "--modulus", "14",
+                         "--output", str(tmp_path / "r.json"), "--jobs", "5000")
+    assert code == 0
+    assert sizes == [3]
 
 
 def test_scan_modulus_14_classifies(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jacobi49 import cyclotomic_ring, cyclotomy, verify
+from jacobi49 import congruence, cyclotomic_ring, cyclotomy, verify
 from jacobi49.cli import main, primes_in_range
 from jacobi49.congruence import (SIX_CLASS_REPS, adjudicate_closed_forms,
                                  c7_closed_form_fitted, coefficient_sets,
@@ -185,10 +185,17 @@ def test_verify_prime_passes_over_field(kernel_calls, bundle, identities):
         assert kernel_calls == before
 
 
-def test_classify_prime_passes_over_field(kernel_calls):
-    # p = 1 (mod 14), not 1 (mod 49): the order-7 table comes from one
-    # factorial product; no class table is built
-    cert = classify_prime(43)
+def test_verify_prime_of_no_n_runs_no_check(kernel_calls):
+    # with no n to verify there is nothing for the pair count to check
+    assert verify_prime(197, ns=()) == []
+    assert kernel_calls["index_table"] == kernel_calls["pair_counts"] == 0, kernel_calls
+
+
+@pytest.mark.parametrize("p", [43, 197, 60271])
+def test_classify_prime_passes_over_field(kernel_calls, p):
+    # p = 1 (mod 14), and at 197 and 60271 also 1 (mod 49): the order-7 and
+    # order-49 tables come from one factorial product; no class table is built
+    cert = classify_prime(p)
     assert not cert.discrepancies
     assert kernel_calls == {"block_factorials": 1, "index_table": 0, "pair_counts": 0,
                             "power_pair_hist": 0, "power_pair_hist_variant": 0,
@@ -215,23 +222,37 @@ def _shift_the_factorial_table(monkeypatch, e, shift):
     monkeypatch.setattr(cyclotomy, "counts_from_factorials", shifted)
 
 
+def _negate_one_class(counts):
+    """Move one count from each cell of the class of (3,11)_49 to the cell it negates."""
+    for (a, b) in six_class(49, 3, 11):
+        counts[a, b] -= 1
+        counts[-a % 49, -b % 49] += 1
+
+
 def test_direct_sum_catches_a_wrong_table(monkeypatch):
     # Move one count from each cell of the class of (3,11)_49 to the cell of
     # the class of (-3,-11) it negates: the total and the even-f classes,
     # which the table's own guard checks, still hold, but the single direct
     # sum no longer matches the table at n = 1.
-    def negate_one_class(counts):
-        for (a, b) in six_class(49, 3, 11):
-            counts[a, b] -= 1
-            counts[-a % 49, -b % 49] += 1
-
-    _shift_the_factorial_table(monkeypatch, 49, negate_one_class)
+    _shift_the_factorial_table(monkeypatch, 49, _negate_one_class)
     cert = verify_prime(197, ns=(1,))[0]
     assert "Jacobi sum paths disagree at n = 1" in cert.discrepancies
     assert cert.cross_checks["three_path_agree"] is False
     # the identity suite reads the same table at every pair and catches it too
     assert cert.cross_checks["identity_suite_ok"] is False
     assert "elementary Jacobi-sum identity suite failed" in cert.discrepancies
+
+
+def test_discrepancy_order_with_a_wrong_table(monkeypatch):
+    # The per-n texts come first, then the per-prime ones, each group in a
+    # fixed order.  classify builds no class table and runs no identity
+    # suite, so it sees nothing wrong with this table.
+    _shift_the_factorial_table(monkeypatch, 49, _negate_one_class)
+    per_prime = ("elementary Jacobi-sum identity suite failed",
+                 "order-49 table differs from the direct pair count")
+    assert [c.discrepancies for c in verify_prime(197)] == [
+        ("Jacobi sum paths disagree at n = 1",) + per_prime] + [per_prime] * 47
+    assert classify_prime(197).discrepancies == ()
 
 
 COUNTED_49 = "order-49 table differs from the direct pair count"
@@ -298,6 +319,26 @@ def test_bad_class_rejected_before_the_table(kernel_calls, capsys):
     assert sum(kernel_calls.values()) == 0, kernel_calls
 
 
+def test_classify_flags_an_s_lemma_mismatch(monkeypatch, capsys):
+    # S(1) mod 7 off the order-7 table, shifted by one: classify records
+    # the paths' disagreement as a discrepancy, as verify does at n = 1,
+    # and the command fails.
+    real = congruence.s_lemma_all
+
+    def shifted(cyc7):
+        return (real(cyc7) + 1) % 7
+
+    for module in (congruence, verify):  # s_lemma reads it from congruence
+        monkeypatch.setattr(module, "s_lemma_all", shifted)
+    text = "S(1) direct and order-7 paths disagree"
+    cert = classify_prime(197)
+    assert cert.coeffs["s_paths"]["agree_mod7"] is False
+    assert text in cert.discrepancies
+    assert text in verify_prime(197, ns=(1,))[0].discrepancies
+    assert main(["classify", "--prime", "197"]) == 1
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("p", [197, 60271])
 def test_verify_and_classify_share_one_step(p):
     # classify and verify read one classification, sextuple, t/u pair and
@@ -328,7 +369,8 @@ def _count_calls(monkeypatch):
                          ("residue_mod_t8", cyclotomic_ring)):
         wrapper = counting(name, getattr(module, name))
         monkeypatch.setattr(module, name, wrapper)
-        monkeypatch.setattr(verify, name, wrapper)
+        if hasattr(verify, name):
+            monkeypatch.setattr(verify, name, wrapper)
     return calls
 
 
@@ -336,23 +378,24 @@ def test_verify_prime_products(monkeypatch):
     # The identity suite checks every pair from 54 Jacobi sums off the table
     # in three batches (J(0,1) and J(0,7); J(1,m); J(7,7m)), and the norms
     # of the 52 Galois representatives are one array product, with no
-    # CyclotomicInt product.  The n loop reads all 48 J(1,n) in one more
-    # batch.  J(1,1)_49 is read off the pair-counted table as one row, and
-    # its residue is the one taken element by element.
+    # CyclotomicInt product.  J(1,1)_49 and all 48 J(1,n) are read off the
+    # table in one more batch, and J(1,1)_49 off the pair-counted table in
+    # one more; every residue is taken from these rows at once.
     calls = _count_calls(monkeypatch)
     certs = verify_prime(197)
     assert all(c.match and not c.discrepancies for c in certs)
-    assert calls == {"mul": 0, "jacobi_from_cyc": 1, "jacobi_rows": 5,
-                     "residue_mod_t8": 1}, calls
+    assert calls == {"mul": 0, "jacobi_from_cyc": 0, "jacobi_rows": 5,
+                     "residue_mod_t8": 0}, calls
 
 
 def test_classify_prime_products(monkeypatch):
-    # classify reads J(1,1)_49 off the table as one row, and its residue
+    # classify reads J(1,1)_49 off the table as one batch of one row, and
+    # its residue from that row
     calls = _count_calls(monkeypatch)
     cert = classify_prime(60271)
     assert not cert.discrepancies
-    assert calls == {"mul": 0, "jacobi_from_cyc": 1, "jacobi_rows": 1,
-                     "residue_mod_t8": 1}, calls
+    assert calls == {"mul": 0, "jacobi_from_cyc": 0, "jacobi_rows": 1,
+                     "residue_mod_t8": 0}, calls
 
 
 @pytest.mark.parametrize("k", [2, 14, 48])
