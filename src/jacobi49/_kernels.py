@@ -23,13 +23,15 @@ bins then stay in cache, _SLAB elements for the factorial products, and
 _BLOCK elements for index_table, whose int64 block of powers and its
 quotients by p, 128 KB each, then stay in cache from the product through
 the reduction mod p to the scatter; a block that spills out of cache
-makes the reduction cost more than the scatter.  The histograms widen
-each chunk of labels to int64 before any multiply (uint8 arithmetic
-wraps silently), so all their arithmetic runs in the int64 loops the
-rest of the package uses; narrow loops of their own would add numpy
-code pages to every process that runs a kernel once.  Counts stay far
-below 2**63, since p is capped at 10**7, and so do products of two
-residues, below p**2 < 10**14.
+makes the reduction cost more than the scatter.  The pair histograms
+widen each chunk of labels to int64 before any multiply (uint8
+arithmetic wraps silently), once per chunk: one slice of n + 1 labels
+holds both v and v + 1, and the keys go into a buffer allocated once per
+call.  So all their arithmetic runs in the int64 loops the rest of the
+package uses; narrow loops of their own would add numpy code pages to
+every process that runs a kernel once.  Counts stay far below 2**63,
+since p is capped at 10**7, and so do products of two residues, below
+p**2 < 10**14.
 
 cubic_roots, a full scan for the roots of x^3 + x^2 - 2x - 1, is the
 test oracle of the closed form in artiad.cubic_roots; the pipeline does
@@ -124,12 +126,19 @@ def index_table(p, gamma, m):
 
 
 def _pairs(classes):
-    """(classes[v], classes[v + 1]) for v = 1..p-2, chunk by chunk, as int64."""
+    """(classes[v], classes[v + 1]) for v = 1..p-2, chunk by chunk, as int64.
+
+    Each chunk widens one slice of n + 1 labels into a buffer that the
+    next chunk reuses; the pair are two views of it that overlap in all
+    but one element, so a caller writes its keys into a buffer of its own.
+    """
     p = classes.shape[0]
+    wide = np.empty(_CHUNK + 1, dtype=np.int64)
     for start in range(1, p - 1, _CHUNK):
         stop = min(p - 1, start + _CHUNK)
-        yield (classes[start:stop].astype(np.int64),
-               classes[start + 1 : stop + 1].astype(np.int64))
+        w = wide[: stop + 1 - start]
+        w[:] = classes[start : stop + 1]
+        yield w[:-1], w[1:]
 
 
 def pair_counts(classes, e):
@@ -140,10 +149,12 @@ def pair_counts(classes, e):
     on each side, are a (k, e, k, e) array summed over its k axes.
     """
     joint = np.zeros(_LABELS * _LABELS, dtype=np.int64)
+    keys = np.empty(_CHUNK, dtype=np.int64)
     for a, b in _pairs(classes):
-        a *= _LABELS
-        a += b
-        joint += np.bincount(a, minlength=_LABELS * _LABELS)
+        key = keys[: a.size]
+        np.multiply(a, _LABELS, out=key)
+        key += b
+        joint += np.bincount(key, minlength=_LABELS * _LABELS)
     k = -(-_LABELS // e)
     padded = np.zeros((k * e, k * e), dtype=np.int64)
     padded[:_LABELS, :_LABELS] = joint.reshape(_LABELS, _LABELS)
@@ -153,12 +164,15 @@ def pair_counts(classes, e):
 def power_pair_hist(classes, e, i, j):
     """Histogram over v = 1..p-2 of (i*ind(v) + j*ind(v+1)) mod e; 0 <= i, j < e | m."""
     out = np.zeros(e, dtype=np.int64)
+    keys = np.empty(_CHUNK, dtype=np.int64)
+    right = np.empty(_CHUNK, dtype=np.int64)
     for a, b in _pairs(classes):
-        a *= i
-        b *= j
-        a += b
-        a %= e
-        out += np.bincount(a, minlength=e)
+        key, r = keys[: a.size], right[: a.size]
+        np.multiply(a, i, out=key)
+        np.multiply(b, j, out=r)
+        key += r
+        key %= e
+        out += np.bincount(key, minlength=e)
     return out
 
 

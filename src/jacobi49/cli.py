@@ -7,14 +7,20 @@ Subcommands:
   selftest  the startup algebra checks
 
 Exit codes: 0 all checks passed, 1 a mathematical comparison failed or a
-certificate carries a discrepancy, 2 invalid input or unusable output path.
+certificate carries a discrepancy, 2 invalid input or an unusable output
+path or stdout.
 
 Reports are deterministic for a fixed configuration independent of the
 worker count; the only field that varies between runs is runtime_seconds.
-A scan encodes each prime's records in the worker that computes them; the
-parent gathers the encoded text in p order into one buffer and writes it
-between the report's header and its runtime, with the same bytes that one
-json.dump(report, indent=2) or csv.writer over all records would give.
+Every JSON byte the CLI writes comes from one writer, _json_text: the C
+encoder's compact text, indented by one numpy pass to the bytes of
+json.dumps(obj, indent=2).  A scan encodes each prime's records in the
+worker that computes them, all in one call; the parent gathers the encoded
+text in p order into one buffer and writes it between the report's header
+and its runtime, with the same bytes that one json.dump(report, indent=2)
+or csv.writer over all records would give.  verify and classify write
+their text to stdout in one write; if stdout cannot take it they exit 2,
+as scan does for its report path.
 """
 
 import argparse
@@ -27,6 +33,8 @@ import stat
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 
 from . import __version__
 from .errors import DomainError, InputError
@@ -51,20 +59,114 @@ def primes_in_range(lo: int, hi: int, modulus: int) -> list[int]:
     return [p for p in range(max(lo, 2), hi + 1) if sieve[p] and p % modulus == 1]
 
 
+# The C encoder writes compact text only; _json_text indents it.
+_COMPACT = json.JSONEncoder(separators=(",", ": "))
+# bytes.translate table: 1 for a quote, bracket or comma, else 0
+_MARKED = bytes(int(b in b'"[]{},') for b in range(256))
+_STEP = np.zeros(256, dtype=np.int8)  # the nesting step of each byte
+_STEP[list(b"[{")] = 1
+_STEP[list(b"]}")] = -1
+
+
+def _json_text(obj, level: int = 0) -> str:
+    """json.dumps(obj, indent=2), with 2*level more spaces after every newline.
+
+    The C encoder writes obj compactly, as ASCII, and one pass over its
+    bytes puts in the line breaks and indents that indent=2 adds.
+    """
+    raw = _COMPACT.encode(obj).encode()
+    gap, depth = _line_breaks(raw)
+    if not gap.size:
+        return raw.decode()
+    return str(_indented(raw, gap, depth, level), "ascii")
+
+
+def _line_breaks(raw: bytes):
+    """The gaps of compact JSON text where indent=2 breaks the line, and
+    the nesting depth after each, as int32.
+
+    A gap follows every opener and comma and precedes every closer outside
+    strings, except inside an empty [] or {}.  A quote is part of a string
+    when a backslash escape starts right before it: pairs of backslashes,
+    each an escaped backslash, are blanked first.
+    """
+    data = np.frombuffer(raw, dtype=np.uint8)
+    at = np.flatnonzero(np.frombuffer(raw.translate(_MARKED), dtype=np.bool_))
+    byte = data[at]
+    quote = byte == ord('"')
+    if b"\\" in raw:
+        # a quote at 0 opens a top-level string: the byte read at -1 is its close
+        plain = np.frombuffer(raw.replace(b"\\\\", b"\x01\x01"), dtype=np.uint8)
+        quote[quote] = plain[at[quote] - 1] != ord("\\")
+    # outside strings an even number of quotes precedes a byte
+    keep = np.logical_xor.accumulate(quote)
+    np.logical_not(keep, out=keep)
+    keep &= byte != ord('"')
+    gap = at[keep].astype(np.int32)
+    step = _STEP[byte[keep]]
+    depth = np.cumsum(step, dtype=np.int32)
+    gap += step >= 0  # after an opener or a comma, before a closer
+    # an empty container's opener and closer break the same gap: neither does
+    lone = np.ones(gap.size, dtype=np.bool_)
+    lone[1:] = gap[1:] != gap[:-1]
+    lone[:-1] &= lone[1:]
+    return gap[lone], depth[lone]
+
+
+def _indented(raw: bytes, gap, depth, level: int):
+    """raw with a newline and 2*(depth + level) spaces put in at each gap,
+    as a uint8 array."""
+    width = depth + level
+    width *= 2
+    width += 1
+    end = np.cumsum(width, dtype=np.int32)
+    out = np.full(len(raw) + int(end[-1]), ord(" "), dtype=np.uint8)
+    end += gap  # a gap's run ends where the byte after the gap lands
+    start = end - width  # and starts with its newline
+    # True on raw's bytes: on at 0, off at each run's start, on at its end;
+    # no run starts at 0 or where another ends, as a byte of raw follows each
+    keep = np.zeros(out.size, dtype=np.bool_)
+    keep[0] = True
+    keep[start] = True
+    keep[end] = True
+    np.logical_xor.accumulate(keep, out=keep)
+    out[keep] = np.frombuffer(raw, dtype=np.uint8)
+    out[start] = ord("\n")
+    return out
+
+
+def _write_stdout(text: str) -> bool:
+    """Write text to stdout in one write; False, with an error on stderr,
+    when stdout cannot take it."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        # Text left in the buffer would fail again at exit and change the
+        # exit code: the interpreter flushes it into /dev/null instead.
+        with contextlib.suppress(OSError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return False
+    return True
+
+
 def cmd_verify(args) -> int:
     certs = verify_prime(args.prime, gamma=args.generator,
                          ns=None if args.all_n else (1,))
-    payload = [c.to_json() for c in certs]
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    if not _write_stdout(_json_text([c.to_json() for c in certs]) + "\n"):
+        return EXIT_USAGE
     bad = any(not c.match or c.discrepancies for c in certs)
     return EXIT_MISMATCH if bad else EXIT_OK
 
 
 def cmd_classify(args) -> int:
     cert = classify_prime(args.prime, gamma=args.generator)
-    json.dump(cert.to_json(), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    if not _write_stdout(_json_text(cert.to_json()) + "\n"):
+        return EXIT_USAGE
     return EXIT_MISMATCH if cert.discrepancies else EXIT_OK
 
 
@@ -73,8 +175,9 @@ def _scan_one(task) -> tuple[list[tuple], bytes]:
 
     The facts are (p, n, kind, match, discrepancies) per record.  The text
     is ASCII: for json the records as they sit in the report's certificates
-    list, for csv their rows.  The classification record comes first, then
-    n in ascending order, so records are in report order without a sort.
+    list, encoded in one _json_text call, for csv their rows.  The
+    classification record comes first, then n in ascending order, so
+    records are in report order without a sort.
     """
     p, all_n, fmt = task
     certs = [classify_prime(p)]
@@ -85,10 +188,9 @@ def _scan_one(task) -> tuple[list[tuple], bytes]:
              for r in records]
     if fmt == "csv":
         return facts, _csv_text(_csv_row(r) for r in records).encode()
-    # A record sits two levels deep in the report, so every line of its
-    # indent=2 text gets four more spaces; no JSON string holds a raw newline.
-    text = ",\n".join(json.dumps(r, indent=2) for r in records)
-    return facts, ("    " + text.replace("\n", "\n    ")).encode()
+    # The records sit one level deep in the report, in its certificates
+    # list: their list at level 1, less its "[\n" and "\n  ]", is their text.
+    return facts, _json_text(records, 1)[2:-4].encode()
 
 
 def _summarize(facts: list[tuple]) -> dict:
@@ -190,7 +292,7 @@ def _write_report(fh, fmt: str, report: dict, body: bytearray) -> None:
         return
     # The empty list's bracket is the one place the records go: any other
     # '"certificates": [' in the text would hold an unescaped quote.
-    head, bracket, tail = json.dumps(report, indent=2).partition('"certificates": [')
+    head, bracket, tail = _json_text(report).partition('"certificates": [')
     fh.write((head + bracket).encode())
     if body:
         fh.write(b"\n")

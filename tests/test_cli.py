@@ -1,9 +1,15 @@
 import csv
+import errno
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jacobi49 import cli
 from jacobi49.cli import main, primes_in_range
@@ -192,20 +198,118 @@ def _reference_scan(lo, hi, modulus, all_n, fmt) -> str:
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("all_n", [False, True], ids=["n1", "all-n"])
+@pytest.mark.parametrize("case", ["n1", "all-n", "fault"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_scan_matches_the_whole_report_encoding(tmp_path, capsys, fmt, all_n, jobs):
+def test_scan_matches_the_whole_report_encoding(tmp_path, capsys, monkeypatch, fmt, case, jobs):
+    # the fault puts discrepancy texts in every record, through the pool too
+    all_n = case != "n1"
+    if case == "fault":
+        _disagreeing_cubic_criterion(monkeypatch)
     out_file = tmp_path / f"r.{fmt}"
     argv = ["scan", "--min", "14000", "--max", "15000", "--modulus", "14",
             "--format", fmt, "--jobs", jobs, "--output", str(out_file)]
-    assert run_cli(capsys, *argv, *(["--all-n"] if all_n else []))[0] == 0
+    code = run_cli(capsys, *argv, *(["--all-n"] if all_n else []))[0]
+    assert code == (1 if case == "fault" else 0)
     cut = lambda s: re.sub(r'\n *"runtime_seconds": [^\n]*', "", s)
     with open(out_file, newline="") as fh:
         got = fh.read()
     want = _reference_scan(14000, 15000, 14, all_n, fmt)
     assert cut(got) == cut(want)
     if fmt == "json":
-        assert len(json.loads(got)["certificates"]) == 17 + 2 * (48 if all_n else 1)
+        report = json.loads(got)
+        assert len(report["certificates"]) == 17 + 2 * (48 if all_n else 1)
+        flags = report["summary"]["discrepancy_flags"]
+        assert len(flags) == (17 + 2 * 48 if case == "fault" else 0)
+
+
+_STDOUT_REPORTS = pytest.mark.parametrize(
+    "argv", [("verify", "--prime", "197", "--all-n"), ("classify", "--prime", "197")],
+    ids=lambda a: a[0])
+
+
+@_STDOUT_REPORTS
+def test_stdout_with_discrepancies_matches_indent_2(capsys, monkeypatch, argv):
+    from jacobi49.verify import classify_prime, verify_prime
+
+    _disagreeing_cubic_criterion(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    if argv[0] == "verify":
+        payload = [c.to_json() for c in verify_prime(197)]
+    else:
+        payload = classify_prime(197).to_json()
+    assert "artiad criteria disagree (x-test vs cubic roots)" in out
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+# JSON values whose strings hold every byte the indent pass must see
+# through: quotes, backslashes, brackets, commas, colons, control
+# characters, lone surrogates and non-ASCII text.
+_TEXT = st.text(st.sampled_from('"\\[]{},: \n\x00\x01\ud800\udfffé')
+                | st.characters(exclude_categories=()), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=20)
+
+
+@given(obj=_JSON_VALUES, level=st.integers(0, 3))
+@example(obj=[[], {}, [[]], {"é": {}}, {"\\": [[], [{}]]}], level=2)
+@example(obj='"[\\",]', level=1)
+@example(obj=[float("nan"), float("inf"), -float("inf"), -0.0], level=0)
+@settings(max_examples=150, deadline=None)
+def test_json_text_is_indent_2(obj, level):
+    want = json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
+    assert cli._json_text(obj, level) == want
+
+
+class _Stdout(io.StringIO):
+    """A stdout that counts its writes and, if full, fails every one."""
+
+    def __init__(self, full: bool):
+        super().__init__()
+        self.full = full
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.full:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+
+@_STDOUT_REPORTS
+def test_report_on_stdout_in_one_write(capsys, monkeypatch, argv):
+    stdout = _Stdout(full=False)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(list(argv)) == 0
+    assert stdout.writes == 1
+    json.loads(stdout.getvalue())
+
+
+@_STDOUT_REPORTS
+def test_unwritable_stdout_exits_2(capsys, monkeypatch, argv):
+    stdout = _Stdout(full=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert stdout.writes == 1
+    assert err == "error: cannot write report: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_exit_code_of_the_process():
+    # stdout block-buffered, as in a shell: the text the failed write left
+    # in the buffer must not fail again at exit and change the exit code
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "jacobi49.cli", "classify",
+                               "--prime", "29"], stdout=full, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write report: [Errno 28] No space left on device\n"
 
 
 def _inline_pool(monkeypatch, cpus: int) -> list[int]:
