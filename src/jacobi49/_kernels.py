@@ -17,6 +17,15 @@ pair_counts is also the oracle of the startup self-check.
 power_pair_hist, one direct character sum, is the kernel of
 cyclotomy.jacobi_sum, which the tests use as their oracle.
 
+Half the field fixes the table and the pair counts.  m is odd, so
+f = (p - 1)/m is even and -1 = gamma**((p - 1)/2) has class 0
+(chi(-1) = 1 for every character here; Berndt-Evans-Williams, Gauss and
+Jacobi Sums, 1998): classes[p - a] = classes[a].  index_table powers out
+only the exponents below (p - 1)/2, one for each pair {a, p - a}, and
+mirrors the lower half of the table onto the upper.  pair_counts counts
+the pairs of the lower half and adds their transposes, since
+v -> p - 1 - v swaps the two classes of the pair (v, v + 1).
+
 The kernels walk the field in chunks, so their temporaries stay small
 whatever p is: _CHUNK elements for the pair histograms, whose keys and
 bins then stay in cache, _SLAB elements for the factorial products, and
@@ -39,6 +48,8 @@ not call it.
 """
 
 import numpy as np
+
+from .errors import InputError
 
 _CHUNK = 1 << 15
 _SLAB = 1 << 16
@@ -98,35 +109,47 @@ def block_factorials(p, f, h):
 
 
 def index_table(p, gamma, m):
-    """The class table of F_p for the primitive root gamma, m | p - 1, m <= 64.
+    """The class table of F_p for the primitive root gamma; m | p - 1, m odd, m <= 64.
 
-    gamma**(k*m + r) has class r: the powers are the (f, m) outer product
-    (gamma**m)**k * gamma**r mod p, f = (p - 1)/m, scattered a block of
-    rows at a time with labels tiled to match.  Each block is reduced mod
-    p as x - (x // p) * p, as in block_factorials.
+    gamma**(k*m + r) has class r: the powers are the outer product
+    (gamma**m)**k * gamma**r mod p, scattered a block of rows at a time
+    with labels tiled to match.  Each block is reduced mod p as
+    x - (x // p) * p, as in block_factorials.  Only the exponents below
+    h = (p - 1)/2, the first f/2 rows, f = (p - 1)/m, are powered out:
+    gamma**(x + h) = -gamma**x, so each pair {a, p - a} holds exactly one
+    of those powers, which is folded to min(a, p - a) and written once
+    into the lower half.  With f even, h is a multiple of m and a and
+    p - a share a class, so the upper half is the lower half mirrored.
     """
     f = (p - 1) // m
-    steps = _powers(pow(gamma, m, p), f, p)
+    if f % 2:
+        raise InputError(f"the class table needs (p - 1)/m even; m = {m} at p = {p}")
+    h = (p - 1) // 2
+    half = f // 2
+    steps = _powers(pow(gamma, m, p), half, p)
     offsets = _powers(gamma, m, p)
     table = np.empty(p, dtype=np.uint8)
     table[0] = UNDEFINED
-    rows = max(1, min(f, _BLOCK // m))
+    rows = max(1, min(half, _BLOCK // m))
     labels = np.tile(np.arange(m, dtype=np.uint8), rows)
     block = np.empty((rows, m), dtype=np.int64)
     quot = np.empty_like(block)
-    for start in range(0, f, rows):
-        n = min(rows, f - start)
+    for start in range(0, half, rows):
+        n = min(rows, half - start)
         x, q = block[:n], quot[:n]
         np.multiply(steps[start : start + n, None], offsets, out=x)
         np.floor_divide(x, p, out=q)
         q *= p
         x -= q
+        np.subtract(p, x, out=q)
+        np.minimum(x, q, out=x)
         table[x.ravel()] = labels[: x.size]
+    table[h + 1 :] = table[h:0:-1]
     return table
 
 
 def _pairs(classes):
-    """(classes[v], classes[v + 1]) for v = 1..p-2, chunk by chunk, as int64.
+    """(classes[v], classes[v + 1]) for v = 1..len(classes) - 2, chunk by chunk, as int64.
 
     Each chunk widens one slice of n + 1 labels into a buffer that the
     next chunk reuses; the pair are two views of it that overlap in all
@@ -144,20 +167,29 @@ def _pairs(classes):
 def pair_counts(classes, e):
     """The cyclotomic numbers (a,b)_e, e | m, as an int64 (e, e) array.
 
-    Counts the class pairs (a, b) mod m of (v, v+1) in 64 x 64 bins and
-    folds them to (a mod e, b mod e): the bins, padded with zeros to k e
-    on each side, are a (k, e, k, e) array summed over its k axes.
+    The table must have classes[p - a] = classes[a], as every table of
+    index_table has; no cell above h = (p - 1)/2 is read.  v -> p - 1 - v
+    turns the pair (c[v], c[v + 1]) into (c[v + 1], c[v]), so the pairs
+    of v = 1..h-1 and their transposes are those of every v but h, the
+    fixed point, whose pair is (c[h], c[h]).  Counts the class pairs
+    (a, b) mod m in 64 x 64 bins and folds them to (a mod e, b mod e):
+    the bins, padded with zeros to k e on each side, are a (k, e, k, e)
+    array summed over its k axes.
     """
+    h = (classes.shape[0] - 1) // 2
     joint = np.zeros(_LABELS * _LABELS, dtype=np.int64)
     keys = np.empty(_CHUNK, dtype=np.int64)
-    for a, b in _pairs(classes):
+    for a, b in _pairs(classes[: h + 1]):
         key = keys[: a.size]
         np.multiply(a, _LABELS, out=key)
         key += b
         joint += np.bincount(key, minlength=_LABELS * _LABELS)
+    joint = joint.reshape(_LABELS, _LABELS)
+    joint = joint + joint.T
+    joint[classes[h], classes[h]] += 1
     k = -(-_LABELS // e)
     padded = np.zeros((k * e, k * e), dtype=np.int64)
-    padded[:_LABELS, :_LABELS] = joint.reshape(_LABELS, _LABELS)
+    padded[:_LABELS, :_LABELS] = joint
     return padded.reshape(k, e, k, e).sum(axis=(0, 2))
 
 

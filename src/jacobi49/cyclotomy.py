@@ -116,8 +116,12 @@ def counts_from_factorials(ctx: FieldContext, e: int) -> np.ndarray:
     J(i,j)_e = sum_{a,b} (a,b)_e zeta^(ia + jb) inverts to
     (a,b)_e = e^-2 sum_{i,j} w^-(ia + jb) J(i,j) = e^-2 (W J W^T)[a, b]
     mod p, with w = gamma^f and W[a, i] = w^-ai, which is exact since
-    every count lies in [0, p - 2].  Products of residues stay below
-    p^2 < 10^14, and each matrix-product sum below 49 p^2 < 5 * 10^15.
+    every count lies in [0, p - 2].  The two matrix products run in
+    float64, where numpy has a BLAS path, and are exact: every entry is
+    an integer in [0, p), so every product and every partial sum, in
+    whatever order BLAS adds, is an integer at most 49 (p - 1)^2 <
+    4.9 * 10^15 < 2^53, since build_ctx admits no p above MAX_PRIME =
+    10^7.  Each product is cast back to int64 before it is reduced mod p.
     """
     p = ctx.p
     w_inv = pow(ctx.gamma, -ctx.cofactor(e), p)
@@ -125,9 +129,9 @@ def counts_from_factorials(ctx: FieldContext, e: int) -> np.ndarray:
     for _ in range(e - 1):
         powers.append(powers[-1] * w_inv % p)
     k = np.arange(e)
-    W = np.array(powers, dtype=np.int64)[np.multiply.outer(k, k) % e]
-    counts = W @ jacobi_images(ctx, e) % p
-    counts = counts @ W.T % p
+    W = np.array(powers, dtype=np.float64)[np.multiply.outer(k, k) % e]
+    counts = (W @ jacobi_images(ctx, e).astype(np.float64)).astype(np.int64) % p
+    counts = (counts.astype(np.float64) @ W.T).astype(np.int64) % p
     return counts * pow(e * e, -1, p) % p
 
 

@@ -16,6 +16,7 @@ from jacobi49.cyclotomy import (CycNumberTable, check_symmetries,
 from jacobi49.errors import InputError, InvariantViolation
 from jacobi49.prime_field import (MAX_PRIME, build_ctx, find_generator, index_mod,
                                   is_primitive_root, is_seventh_power_residue)
+from oracles import pair_counts_full_field
 
 
 def jacobi_six_class(e: int, i: int, j: int) -> set[tuple[int, int]]:
@@ -408,6 +409,37 @@ def test_factorial_tables_match_pair_counts_near_the_cap(p):
     # int64 headroom: residues near 10^7, matrix-product sums near 49 p^2
     assert p % 49 == 1 and p <= MAX_PRIME
     _assert_tables_match_pair_counts(build_ctx(p), (7, 49))
+
+
+def _assert_pair_counts_match_the_full_field(ctx):
+    for e in (d for d in (1, 7, 49) if ctx.m % d == 0):
+        counts = _kernels.pair_counts(ctx.classes, e)
+        assert (counts == pair_counts_full_field(ctx.classes, e)).all(), (ctx.p, ctx.gamma, e)
+
+
+def test_pair_counts_match_the_full_field_oracle():
+    # pair_counts counts v = 1..h-1 and mirrors them; the oracle counts every v
+    for p in primes_in_range(2, 3000, 14):
+        for gamma in (find_generator(p), _second_generator(p)):
+            _assert_pair_counts_match_the_full_field(build_ctx(p, gamma))
+    for p in (3, 5, 7):  # m = 1; at p = 3 only the fixed point v = h is counted
+        _assert_pair_counts_match_the_full_field(build_ctx(p))
+
+
+@pytest.mark.parametrize("p", [1000679, 9999823])
+def test_pair_counts_match_the_full_field_oracle_large(p):
+    _assert_pair_counts_match_the_full_field(build_ctx(p))
+
+
+def test_pair_counts_read_no_cell_above_half():
+    ctx = build_ctx(60271)
+    h = (ctx.p - 1) // 2
+    garbled = ctx.classes.copy()
+    garbled[h + 1 :] = 50
+    for e in (7, 49):
+        # the upper half matters to a count over every v, but not to pair_counts
+        assert (pair_counts_full_field(garbled, e) != pair_counts_full_field(ctx.classes, e)).any()
+        assert (_kernels.pair_counts(garbled, e) == _kernels.pair_counts(ctx.classes, e)).all()
 
 
 def test_table_free_residue_tests_match_the_class_table():

@@ -123,14 +123,22 @@ def index_table_by_remainder(p: int, gamma: int, m: int) -> np.ndarray:
 
 @pytest.mark.parametrize("p,gamma,m", [(29, None, 7), (43, None, 7), (197, None, 49),
                                        (60271, None, 49), (60271, 33, 49),
-                                       (4500007, None, 7), (1000679, None, 49)])
+                                       (4500007, None, 7), (1000679, None, 49),
+                                       (9999823, None, 49)])
 def test_index_table_matches_the_remainder_oracle(p, gamma, m):
     # index_table reduces each block as x - (x // p) * p, a block of rows
-    # at a time; the last block of the larger fields is a partial one
+    # at a time, powers out only the exponents below (p - 1)/2 and mirrors
+    # the rest; the oracle powers out every exponent
     ctx = build_ctx(p, gamma)
     assert ctx.m == m
     table = _kernels.index_table(p, ctx.gamma, m)
     assert (table == index_table_by_remainder(p, ctx.gamma, m)).all()
+
+
+def test_index_table_needs_an_even_cofactor():
+    # with (p - 1)/m odd, -1 is not in class 0 and the mirror would be wrong
+    with pytest.raises(InputError):
+        _kernels.index_table(29, 2, 4)
 
 
 @given(a=st.integers(1, 196), b=st.integers(1, 196))
