@@ -1,9 +1,22 @@
 """Hot loops over F_p, in numpy.
 
-block_factorials multiplies out the running product 1*2*...*n mod p
-that the cyclotomic numbers are built from (cyclotomy.cyclotomic_numbers).
-It is arithmetic in sequence: blocks of consecutive integers, tree-reduced
-in int64, with no table and no scatter.
+factorials gives the n! mod p that the cyclotomic numbers are built
+from (cyclotomy.cyclotomic_numbers).  Every k <= n is s * r in exactly
+one way with s = 2^a 3^b and r prime to 6, and then r <= floor(n/s), so
+
+    n! = 2^v2 * 3^v3 * prod_s R(floor(n/s)),
+
+s over the 3-smooth numbers up to n, R(x) the product of the integers
+up to x that are prime to 6, and v2 = sum_a floor(n/2^a) = n - popcount(n)
+and v3 = sum_b floor(n/3^b) = (n - digitsum_3(n))/2 Legendre's exponents
+of 2 and 3 in n! (the odd-part route to fast factorials: Borwein, On the
+complexity of calculating factorials, J. Algorithms 1985; Schoenhage,
+Grotefeld and Vetter, Fast Algorithms, 1994).  So only the integers
+prime to 6, a third of all, are multiplied: one walk over the pairs
+(6k + 1)(6k + 5) up to the largest n, read at the few distinct points
+floor(n/s), where a running product over every integer would multiply
+three times as many.  The walk is arithmetic in sequence, product trees
+in int64 with no table and no scatter.
 
 The other kernels read the field's class table: classes[a] = ind(a) mod m
 for a = 1..p-1, where ind is the discrete logarithm to a fixed primitive
@@ -28,7 +41,7 @@ v -> p - 1 - v swaps the two classes of the pair (v, v + 1).
 
 The kernels walk the field in chunks, so their temporaries stay small
 whatever p is: _CHUNK elements for the pair histograms, whose keys and
-bins then stay in cache, _SLAB elements for the factorial products, and
+bins then stay in cache, _SLAB pairs for the factorials, and
 _BLOCK elements for index_table, whose int64 block of powers and its
 quotients by p, 128 KB each, then stay in cache from the product through
 the reduction mod p to the scatter; a block that spills out of cache
@@ -47,12 +60,16 @@ test oracle of the closed form in artiad.cubic_roots; the pipeline does
 not call it.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import InputError
 
 _CHUNK = 1 << 15
-_SLAB = 1 << 16
+_SLAB = 1 << 15  # pairs (6k + 1)(6k + 5) per slab of factorials
+_TOP = 1 << 6  # nodes of a slab's top level, whose prefix products Python takes
+_SHORT = 1 << 11  # a level this short is reduced mod p by one %=
 _BLOCK = 1 << 14
 _LABELS = 64  # every label is below 64
 UNDEFINED = 255
@@ -71,41 +88,185 @@ def _powers(base, n, p):
     return out
 
 
-def block_factorials(p, f, h):
-    """The products (k*f + 1)(k*f + 2)...((k+1)*f) mod p, k = 0..h-1, as int64.
+def _reduce(x, p, quot):
+    """x mod p, in place; quot, as long as x, is scratch.
 
-    A slab holds up to _SLAB integers as rows of h, row r and column k
-    holding k*f + r + 1; each slab is the first one plus a constant.  The
-    rows are multiplied pairwise, first half by last half, until one is
-    left, reducing mod p after every product.  x mod p is taken as
-    x - (x // p) * p, since numpy's division by a scalar is much faster
-    than its remainder.
+    A long x is reduced as x - (x // p) * p, since numpy's division by a
+    scalar is much faster than its remainder; on a short one the one
+    call of %= costs less than the three.
     """
-    out = np.ones(h, dtype=np.int64)
-    if h == 0:
-        return out
-    rows = max(1, min(f, _SLAB // h))
-    first = np.add.outer(np.arange(1, rows + 1, dtype=np.int64),
-                         np.arange(0, h * f, f, dtype=np.int64))
-    slab = np.empty_like(first)
-    quot = np.empty_like(first)
-    for start in range(0, f, rows):
-        n = min(rows, f - start)
-        x = slab[:n]
-        np.add(first[:n], start, out=x)
-        while n > 1:
+    if x.size > _SHORT:
+        np.floor_divide(x, p, out=quot)
+        quot *= p
+        x -= quot
+    else:
+        x %= p
+
+
+def _fold(x, p):
+    """The product mod p down the first axis of x, which it overwrites.
+
+    The rows are multiplied first half by last half, reducing mod p after
+    every product, until one is left; each product of two is below 2**63.
+    """
+    n = x.shape[0]
+    while n > 1:
+        half = n // 2
+        low = x[:half]
+        low *= x[n - half : n]
+        low %= p
+        n -= half
+    return x[0]
+
+
+def _divisors(top):
+    """The s of the identity for every n <= top: a list, and how many powers of 3 and of 2.
+
+    1, the powers 3..3^B and 2..2^A up to max(top, 3), whose quotients
+    give Legendre's sums, then the other 3-smooth s <= top // 5.  A
+    larger s leaves floor(n/s) <= 4, and R is 1 there.
+    """
+    bound = max(top, 3)
+    threes = [3]
+    while threes[-1] * 3 <= bound:
+        threes.append(threes[-1] * 3)
+    twos = [1 << a for a in range(1, bound.bit_length())]
+    cap = top // 5
+    rest = [t << a for t in threes for a in range(1, (cap // t).bit_length())]
+    return [1] + threes + twos + rest, len(threes), len(twos)
+
+
+@lru_cache(maxsize=None)
+def _plan(size, top):
+    """How _coprime_prefix reads a count w in a slab of size pairs, as (5, rows, 1) int64.
+
+    Each row is one factor of the product of the slab's first w integers
+    prime to 6.  Its five entries: the shift of w whose low bit decides
+    whether the row is read, the shift and the offset that give the
+    index read, the mask on that bit, and the index read where the
+    masked bit is 0, a cell that holds 1.  Row 0 is the slab's 6k + 1,
+    read at k = w >> 1 where w is odd.  Then come the pair levels below
+    the top: level L, whose nodes hold 2**L pairs, is read at node
+    (w >> (L + 1)) - 1 where bit L + 1 of w is set.  The last row is the
+    prefix products of the top level, read at w >> depth whatever that
+    is: its mask is -1, and at 0 its fallback is the same cell.
+    """
+    depth = (size // top).bit_length()
+    levels = range(depth - 1)
+    cum = 3 * size - top
+    one = cum + top + 1
+    plan = np.array([list(range(depth + 1)),
+                     [1] + list(range(1, depth + 1)),
+                     [0] + [3 * size - 2 * (size >> L) - 1 for L in levels] + [cum],
+                     [1] * depth + [-1],
+                     [one] * depth + [cum]], dtype=np.int64)[:, :, None]
+    plan.flags.writeable = False
+    return plan
+
+
+def _coprime_prefix(p, c):
+    """P(c) mod p for each c of the ascending int64 array c, P(c) the product
+    of the first c integers prime to 6.
+
+    The integers are walked as pairs (6k + 1)(6k + 5), below 2**63, a
+    slab of _SLAB pairs at a time, in one buffer: the slab's 6k + 1, its
+    pairs, each reduced mod p once, then the levels of their product
+    tree, each node the product of two below it, down to _TOP nodes,
+    whose prefix products, times those of the slabs before, Python takes.
+    The product of the first w integers of the slab is then one node of
+    each level where w has a bit set, the lone 6k + 1 where w is odd, and
+    one top prefix: a single gather and row product per slab.  Each
+    level's reduction scratch is the space of the levels above it, not
+    yet built; the buffer of a slab of 2**15 pairs is 768 KB.
+    """
+    total = int(c[-1]) if c.size else 0
+    size = min(_SLAB, 1 << (max(total - 1, 0) // 2).bit_length())
+    top = min(size, _TOP)
+    cshifts, ishifts, starts, masks, fallback = _plan(size, top)
+    cum = 3 * size - top
+    buf = np.ones(cum + top + 2, dtype=np.int64)
+    lone = buf[:size]
+    lone[:] = np.arange(1, 6 * size, 6, dtype=np.int64)
+    parts = []
+    lo, carry = 0, 1
+    for start in range(0, max(total, 1), 2 * size):
+        if start:
+            lone += 6 * size
+        x = buf[size : 2 * size]
+        np.add(lone, 4, out=x)
+        x *= lone
+        _reduce(x, p, buf[2 * size : 3 * size])
+        off, n = size, size
+        while n > top:
             half = n // 2
-            low = x[:half]
-            low *= x[n - half : n]
-            q = quot[:half]
-            np.floor_divide(low, p, out=q)
-            q *= p
-            low -= q
-            n -= half
-            x = x[:n]
-        out *= x[0]
-        out %= p
-    return out
+            nxt = buf[off + n : off + n + half]
+            np.multiply(buf[off : off + n : 2], buf[off + 1 : off + n : 2], out=nxt)
+            off += n
+            n = half
+            _reduce(nxt, p, buf[off + n : off + 2 * n])
+        prefix = [carry]
+        for v in buf[off : off + n].tolist():
+            carry = carry * v % p
+            prefix.append(carry)
+        buf[cum : cum + n + 1] = prefix
+        hi = int(np.searchsorted(c, start + 2 * size, "right"))
+        w = c[lo:hi] - start
+        read = w >> cshifts
+        read &= masks
+        idx = w >> ishifts
+        idx += starts
+        parts.append(_fold(buf[np.where(read, idx, fallback)], p))
+        lo = hi
+    return np.concatenate(parts)
+
+
+def factorials(p, ns):
+    """n! mod p for each n of the ascending ns, n >= 0, as int64; p an odd prime.
+
+    The cells floor(n/s), s from _divisors, are counted as integers
+    prime to 6, (x + 1)//6 + (x + 5)//6 up to x; the distinct counts go
+    to _coprime_prefix once each.  The powers 3**v3 * 2**v2 come from
+    base-4 digits of the exponents, each read from a table of
+    g**(d * 4**i), and one row product takes every factor of each n.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    top = int(ns[-1]) if ns.size else 0
+    s, threes, twos = _divisors(top)
+    x = ns // np.array(s, dtype=np.int64)[:, None]
+    counts = x + 1
+    counts //= 6
+    t = x + 5
+    t //= 6
+    counts += t
+    ordered = np.sort(counts, axis=None)
+    keep = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    distinct = ordered[keep]
+    digits = (top.bit_length() + 1) // 2 or 1
+    table = [1] * (8 * digits)
+    for row, g in enumerate((3 % p, 2 % p)):
+        for i in range(digits):
+            k = 4 * (row * digits + i)
+            table[k + 1] = g
+            table[k + 2] = g2 = g * g % p
+            table[k + 3] = g2 * g % p
+            g = g2 * g2 % p
+    shifts, offsets = _digit_plan(digits)
+    d = np.add.reduceat(x[1 : 1 + threes + twos], [0, threes])[:, None, :] >> shifts
+    d &= 3
+    d += offsets
+    prefix = _coprime_prefix(p, distinct)[np.searchsorted(distinct, counts)]
+    powers = np.array(table, dtype=np.int64)[d.reshape(2 * digits, -1)]
+    return _fold(np.concatenate([prefix, powers]), p)
+
+
+@lru_cache(maxsize=None)
+def _digit_plan(digits):
+    """The shifts 2i and the table offsets 4(row * digits + i) of factorials' power digits."""
+    k = np.arange(2 * digits, dtype=np.int64).reshape(2, digits, 1)
+    plan = np.stack([2 * (k % digits), 4 * k])
+    plan.flags.writeable = False
+    return plan
 
 
 def index_table(p, gamma, m):
@@ -113,8 +274,8 @@ def index_table(p, gamma, m):
 
     gamma**(k*m + r) has class r: the powers are the outer product
     (gamma**m)**k * gamma**r mod p, scattered a block of rows at a time
-    with labels tiled to match.  Each block is reduced mod p as
-    x - (x // p) * p, as in block_factorials.  Only the exponents below
+    with labels tiled to match.  Each block is reduced mod p by _reduce.
+    Only the exponents below
     h = (p - 1)/2, the first f/2 rows, f = (p - 1)/m, are powered out:
     gamma**(x + h) = -gamma**x, so each pair {a, p - a} holds exactly one
     of those powers, which is folded to min(a, p - a) and written once
@@ -138,9 +299,7 @@ def index_table(p, gamma, m):
         n = min(rows, half - start)
         x, q = block[:n], quot[:n]
         np.multiply(steps[start : start + n, None], offsets, out=x)
-        np.floor_divide(x, p, out=q)
-        q *= p
-        x -= q
+        _reduce(x, p, q)
         np.subtract(p, x, out=q)
         np.minimum(x, q, out=x)
         table[x.ravel()] = labels[: x.size]
@@ -232,7 +391,7 @@ def cubic_roots(p):
 
 def warmup():
     """Run every kernel once on F_29, so that lazy numpy set-up is not timed later."""
-    block_factorials(29, 4, 3)
+    factorials(29, (4, 8, 12))
     classes = index_table(29, 2, 7)
     pair_counts(classes, 7)
     power_pair_hist(classes, 7, 1, 1)

@@ -8,7 +8,11 @@ prime and shared read-only.  It holds two per-prime tables, each built
 on first use and then kept:
 
   * factorials, (k (p-1)/m)! mod p for k = 0..m-1, from which the
-    cyclotomic numbers are computed (cyclotomy.cyclotomic_numbers);
+    cyclotomic numbers are computed (cyclotomy.cyclotomic_numbers).
+    By Legendre's formula n! is 2^v2 3^v3 times the products of the
+    integers prime to 6 up to floor(n/s), s = 2^a 3^b, so one walk over
+    a third of the integers up to ((m - 1)/2)(p-1)/m gives the lower
+    half, and Wilson's theorem the upper;
   * classes, ind(a) mod m as one uint8 per field element, which only
     the direct counts read: the pair count that checks the cyclotomic
     numbers in verification, and the direct character sums.
@@ -114,16 +118,17 @@ class FieldContext:
     def factorials(self) -> np.ndarray:
         """(k*f)! mod p for k = 0..m-1, f = (p - 1)/m, as int64.
 
-        Only the lower half, up to (h*f)!, h = m // 2, is multiplied out.
-        The rest follows from Wilson's theorem in the form
+        Only the lower half, up to (h*f)!, h = m // 2, comes from the
+        kernel, in one call: _kernels.factorials multiplies only the
+        integers prime to 6, a third of those up to h*f, since Legendre's
+        formula gives n! as 2^v2 3^v3 times products of them.  The rest
+        follows from Wilson's theorem in the form
         a! (p - 1 - a)! = (-1)^(a + 1) (mod p): with a = k*f even and
         p - 1 - a = (m - k) f, (k*f)! = -1/((m - k) f)!.
         """
         p, m = self.p, self.m
-        h = m // 2
-        out = [1]
-        for block in _kernels.block_factorials(p, (p - 1) // m, h).tolist():
-            out.append(out[-1] * block % p)
+        h, f = m // 2, (p - 1) // m
+        out = [1] + _kernels.factorials(p, range(f, h * f + 1, f)).tolist()
         out += [p - pow(out[m - k], -1, p) for k in range(h + 1, m)]
         table = np.array(out, dtype=np.int64)
         table.flags.writeable = False

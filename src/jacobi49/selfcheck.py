@@ -3,9 +3,10 @@
 These guard the foundations everything else silently relies on: the
 polynomial identity behind the residue map, the ring-homomorphism
 property of that map, ideal membership of 7, the elementary Jacobi-sum
-identities on a small field, and the agreement of the two independent
-constructions of the cyclotomic numbers (from factorials mod p, and by
-counting class pairs).
+identities on a small field, the factorial kernel against math.factorial
+at p = 197, and the agreement of the two independent constructions of
+the cyclotomic numbers (from factorials mod p, and by counting class
+pairs).
 """
 
 import math
@@ -59,6 +60,10 @@ def run_selfchecks() -> list[tuple[str, bool]]:
             break
     results.append((f"residue map is a ring homomorphism ({PAIRS} random pairs)",
                     hom_ok))
+
+    results.append(("factorial kernel equals math.factorial at every n < 197, mod 197",
+                    _kernels.factorials(197, range(197)).tolist()
+                    == [math.factorial(n) % 197 for n in range(197)]))
 
     ctx = build_ctx(29)
     results.append(("elementary Jacobi-sum identities hold at p = 29",

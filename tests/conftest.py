@@ -12,7 +12,7 @@ def warm_kernels():
     _kernels.warmup()
 
 
-OP_KERNELS = ("block_factorials", "index_table", "pair_counts", "power_pair_hist",
+OP_KERNELS = ("factorials", "index_table", "pair_counts", "power_pair_hist",
               "power_pair_hist_variant", "cubic_roots")
 
 

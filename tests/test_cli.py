@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -462,6 +463,23 @@ def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "[ok]" in out and "FAIL" not in out
+
+
+def test_selftest_detects_a_wrong_factorial_kernel(capsys, monkeypatch):
+    # fault injection: a kernel wrong at n = 196 alone, which no table of
+    # the other checks reads
+    from jacobi49 import _kernels
+    real = _kernels.factorials
+
+    def wrong(p, ns):
+        out = real(p, ns)
+        out[np.asarray(ns) == 196] += 1
+        return out
+
+    monkeypatch.setattr(_kernels, "factorials", wrong)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert "[FAIL] factorial kernel" in out
 
 
 def test_selftest_detects_corrupted_reduction_table(capsys):

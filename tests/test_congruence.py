@@ -172,7 +172,7 @@ def test_verify_prime_passes_over_field(kernel_calls, bundle, identities):
     certs = verify_prime(197)
     assert all(c.match and not c.discrepancies for c in certs)
     assert sum(kernel_calls.values()) <= 3, kernel_calls
-    assert kernel_calls["block_factorials"] == 1
+    assert kernel_calls["factorials"] == 1
     assert kernel_calls["index_table"] == 1
     assert kernel_calls["pair_counts"] == 1
     assert kernel_calls["power_pair_hist"] == 0
@@ -197,7 +197,7 @@ def test_classify_prime_passes_over_field(kernel_calls, p):
     # order-49 tables come from one factorial product; no class table is built
     cert = classify_prime(p)
     assert not cert.discrepancies
-    assert kernel_calls == {"block_factorials": 1, "index_table": 0, "pair_counts": 0,
+    assert kernel_calls == {"factorials": 1, "index_table": 0, "pair_counts": 0,
                             "power_pair_hist": 0, "power_pair_hist_variant": 0,
                             "cubic_roots": 0}
 
@@ -206,7 +206,7 @@ def test_classify_prime_builds_no_class_table_near_the_workload(kernel_calls):
     cert = classify_prime(4500007)
     assert not cert.discrepancies
     assert kernel_calls["index_table"] == 0, kernel_calls
-    assert kernel_calls["block_factorials"] == 1, kernel_calls
+    assert kernel_calls["factorials"] == 1, kernel_calls
 
 
 def _shift_the_factorial_table(monkeypatch, e, shift):

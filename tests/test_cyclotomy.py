@@ -1,8 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobi49 import _kernels
 from jacobi49.artiad import classify_via_cubic
@@ -16,7 +19,7 @@ from jacobi49.cyclotomy import (CycNumberTable, check_symmetries,
 from jacobi49.errors import InputError, InvariantViolation
 from jacobi49.prime_field import (MAX_PRIME, build_ctx, find_generator, index_mod,
                                   is_primitive_root, is_seventh_power_residue)
-from oracles import pair_counts_full_field
+from oracles import block_factorials, pair_counts_full_field
 
 
 def jacobi_six_class(e: int, i: int, j: int) -> set[tuple[int, int]]:
@@ -358,15 +361,14 @@ def _second_generator(p):
 
 @pytest.mark.parametrize("p", [29, 43, 197, 491, 883, 1373])
 def test_block_factorials_against_math_factorial(p):
+    # the every-integer oracle of _kernels.factorials
     m = build_ctx(p).m
     f = (p - 1) // m
     for h in (0, 1, m // 2, m - 1):
-        blocks = _kernels.block_factorials(p, f, h)
+        blocks = block_factorials(p, f, h)
         assert blocks.dtype == np.int64 and blocks.shape == (h,)
         for k, block in enumerate(blocks.tolist()):
             assert block * math.factorial(k * f) % p == math.factorial((k + 1) * f) % p
-    assert build_ctx(p).factorials.tolist() == [math.factorial(k * f) % p
-                                                for k in range(m)]
 
 
 def test_block_factorials_across_slabs():
@@ -378,7 +380,83 @@ def test_block_factorials_across_slabs():
         for n in range(k * f + 1, (k + 1) * f + 1):
             x = x * n % p
         expected.append(x)
-    assert _kernels.block_factorials(p, f, h).tolist() == expected
+    assert block_factorials(p, f, h).tolist() == expected
+
+
+def _running_factorials(p, top):
+    """n! mod p for n = 0..top, one product at a time."""
+    out = [1]
+    for n in range(1, top + 1):
+        out.append(out[-1] * n % p)
+    return out
+
+
+@pytest.mark.parametrize("p", [29, 43, 197, 491, 883, 1373])
+def test_factorials_against_math_factorial(p):
+    m = build_ctx(p).m
+    f = (p - 1) // m
+    for h in (0, 1, m // 2, m - 1):
+        got = _kernels.factorials(p, range(f, h * f + 1, f))
+        assert got.dtype == np.int64 and got.shape == (h,)
+        assert got.tolist() == [math.factorial(k * f) % p for k in range(1, h + 1)]
+    assert build_ctx(p).factorials.tolist() == [math.factorial(k * f) % p
+                                                for k in range(m)]
+
+
+def test_factorials_of_every_n_below_p_below_1500():
+    for p in primes_in_range(3, 1500, 2):
+        assert _kernels.factorials(p, range(p)).tolist() == _running_factorials(p, p - 1), p
+
+
+@pytest.mark.parametrize("p", [1000679, 4500007, 9999823])
+def test_factorials_match_the_every_integer_oracle(p):
+    # the lower half of ctx.factorials, (k f)! for k = 1..m // 2, both ways
+    m = math.gcd(p - 1, 49)
+    f, h = (p - 1) // m, m // 2
+    expected = np.cumprod(block_factorials(p, f, h).astype(object)) % p
+    assert _kernels.factorials(p, range(f, h * f + 1, f)).tolist() == expected.tolist()
+
+
+def test_factorials_across_slabs(monkeypatch):
+    # slabs of 8 pairs, 48 integers: (10**4)! walks 209 of them, with a
+    # top level of 2 nodes and queries in the first, the last and between
+    monkeypatch.setattr(_kernels, "_SLAB", 8)
+    monkeypatch.setattr(_kernels, "_TOP", 2)
+    p = 10007
+    ns = [0, 1, 5, 47, 48, 49, 95, 96, 97, 1000, 4999, 5000, 9999, 10000]
+    table = _running_factorials(p, 10000)
+    assert _kernels.factorials(p, ns).tolist() == [table[n] for n in ns]
+    monkeypatch.setattr(_kernels, "_SLAB", 1 << 10)
+    assert _kernels.factorials(p, ns).tolist() == [table[n] for n in ns]
+
+
+@given(ns=st.lists(st.integers(0, 3000), max_size=30).map(lambda v: sorted(v + [0])))
+@settings(max_examples=60, deadline=None)
+def test_factorials_of_random_ascending_ns(ns):
+    # 0 and repeated n included; n at or above p gives 0
+    p = 2003
+    table = _running_factorials(p, 3000)
+    assert _kernels.factorials(p, ns).tolist() == [table[n] for n in ns]
+
+
+def test_factorials_of_no_n():
+    assert _kernels.factorials(29, []).shape == (0,)
+
+
+def test_factorials_memory_at_the_cap():
+    # one call at the cap allocates at most 1.5 MB, about what the
+    # every-integer oracle block_factorials takes there
+    p = 9999823
+    f = (p - 1) // 49
+    ns = range(f, 24 * f + 1, f)
+    _kernels.factorials(p, ns)
+    tracemalloc.start()
+    try:
+        _kernels.factorials(p, ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6, peak
 
 
 def _assert_tables_match_pair_counts(ctx, orders):

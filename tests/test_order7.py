@@ -6,6 +6,7 @@ from jacobi49.order7 import (CYC7_ROW_COEFFS, CYC7_ROW_01_X4_VARIANT, Sextuple,
                              _row_value, conjugate, cyc7_from_solution,
                              match_reconstruction, norm_form, orbit, recover_t,
                              trivial_solutions, tu_decompose, verify_diophantine)
+from oracles import tu_search
 
 P14_SMALL = primes_in_range(2, 1500, 14)
 
@@ -40,6 +41,23 @@ def test_tu_decompose_unique(p):
     assert len(hits) == 1
     tu = tu_decompose(p)
     assert hits[0] == (tu.t, tu.u)
+
+
+def test_tu_decompose_matches_the_search_below_300000():
+    # Cornacchia from the Gauss-sum root of -7 against trying every u
+    for p in primes_in_range(2, 300000, 7):
+        assert tu_decompose(p) == tu_search(p), p
+
+
+def test_tu_decompose_matches_the_search_at_the_cap():
+    tu = tu_decompose(9999823)
+    assert tu == tu_search(9999823) and (tu.t, tu.u) == (-1644, 1021)
+
+
+def test_tu_decompose_refuses_a_composite():
+    # 85 = 1 (mod 7) is 5 * 17, and -7 has no square root mod 85
+    with pytest.raises(InvariantViolation):
+        tu_decompose(85)
 
 
 def test_tu_decompose_wrong_class():
