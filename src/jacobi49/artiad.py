@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from .cyclotomic_ring import Residue8
 from .congruence import CoefficientSet
-from .cyclotomy import CycNumberTable
 from .errors import InputError, InvariantViolation
 from .order7 import Sextuple
-from .prime_field import FieldContext, index_mod, is_seventh_power_residue
+from .prime_field import (FieldContext, index_mod, is_seventh_power_residue,
+                          seventh_root_of_unity)
 
 
 def classify_via_x(sol: Sextuple) -> bool:
@@ -33,16 +33,11 @@ def cubic_roots(p: int) -> list[int]:
     """The three roots of x^3 + x^2 - 2x - 1 modulo p = 1 (mod 7), ascending.
 
     They are w^k + w^-k, k = 1, 2, 3, for a primitive seventh root of
-    unity w in F_p (Berndt-Evans-Williams, Gauss and Jacobi Sums, 1998);
-    w = a^((p-1)/7) for the least a >= 2 that is not a seventh power.
+    unity w in F_p (Berndt-Evans-Williams, Gauss and Jacobi Sums, 1998),
+    the one prime_field.seventh_root_of_unity gives.
     Each root is checked against the cubic and the three for distinctness.
     """
-    if (p - 1) % 7 != 0:
-        raise InputError("the cubic splits into w^k + w^-k only for p = 1 (mod 7)")
-    f = (p - 1) // 7
-    a = 2
-    while (w := pow(a, f, p)) == 1:
-        a += 1
+    w = seventh_root_of_unity(p)
     roots = sorted((pow(w, k, p) + pow(w, 7 - k, p)) % p for k in (1, 2, 3))
     bad = [r for r in roots if (r * r * r + r * r - 2 * r - 1) % p]
     if bad or len(set(roots)) != 3:
@@ -74,6 +69,9 @@ def artiad_conditions(coeffs: CoefficientSet, sol: Sextuple, ind7: int,
     B: 12*c6 = (4/7)(6p - x1 - 12)/2 (mod 7);
     C: 4*c7 - 4*ind(7) = -12*c6 + x5 (mod 7).
 
+    With ind7 = 0 they are the hyperartiad characterization, whose C
+    drops the ind(7) term.
+
     C is evaluated as stated, and as stated it fails at every artiad
     prime = 1 (mod 49) up to 174931, under all six generator classes,
     while A and B hold.  It carries the same slip as the t^7 coefficient
@@ -90,15 +88,6 @@ def artiad_conditions(coeffs: CoefficientSet, sol: Sextuple, ind7: int,
     cond_b = (12 * c[5] - _cond_b_rhs(sol, p)) % 7 == 0
     cond_c = (4 * coeffs.s_value - 4 * ind7 + 12 * c[5] - sol.x5) % 7 == 0
     return cond_a, cond_b, cond_c
-
-
-def hyperartiad_conditions(coeffs: CoefficientSet, sol: Sextuple,
-                      p: int) -> tuple[bool, bool, bool]:
-    """Same as artiad_conditions but with the ind(7) term dropped from C
-    (the hyperartiad characterization)."""
-    a, b, _ = artiad_conditions(coeffs, sol, 0, p)
-    cond_c = (4 * coeffs.s_value + 12 * coeffs.c[5] - sol.x5) % 7 == 0
-    return a, b, cond_c
 
 
 def simplified_residue(c6: int, ind7: int, x5: int, hyper: bool) -> Residue8:
@@ -165,7 +154,7 @@ class Classification:
         return {"kind": self.kind, "evidence": self.evidence.to_json()}
 
 
-def classify_from_parts(ctx: FieldContext, cyc7: CycNumberTable, sol: Sextuple,
+def classify_from_parts(ctx: FieldContext, sol: Sextuple,
                         coeffs1: CoefficientSet | None = None,
                         actual_residue: Residue8 | None = None,
                         u_signed: int | None = None) -> Classification:
@@ -190,7 +179,7 @@ def classify_from_parts(ctx: FieldContext, cyc7: CycNumberTable, sol: Sextuple,
     lemma4 = lemma5 = th3 = th3h = th3adj = None
     if coeffs1 is not None:
         lemma4 = all(artiad_conditions(coeffs1, sol, ind7, ctx.p))
-        lemma5 = all(hyperartiad_conditions(coeffs1, sol, ctx.p))
+        lemma5 = all(artiad_conditions(coeffs1, sol, 0, ctx.p))
         if actual_residue is not None:
             c6 = coeffs1.c[5]
             th3 = simplified_residue(c6, ind7, sol.x5, hyper=False) == actual_residue

@@ -18,7 +18,10 @@ json.dumps(obj, indent=2).  A scan encodes each prime's records in the
 worker that computes them, all in one call; the parent gathers the encoded
 text in p order into one buffer and writes it between the report's header
 and its runtime, with the same bytes that one json.dump(report, indent=2)
-or csv.writer over all records would give.  verify and classify write
+or csv.writer over all records would give.  Beside its text each worker
+returns the prime's summary: its kind, its number of mismatches and its
+discrepancy texts.  The parent adds each into the report's summary as the
+prime arrives, so it keeps nothing per record.  verify and classify write
 their text to stdout in one write; if stdout cannot take it they exit 2,
 as scan does for its report path.
 """
@@ -170,11 +173,13 @@ def cmd_classify(args) -> int:
     return EXIT_MISMATCH if cert.discrepancies else EXIT_OK
 
 
-def _scan_one(task) -> tuple[list[tuple], bytes]:
-    """The summary facts and the encoded report text of one prime's records.
+def _scan_one(task) -> tuple[tuple[str, int, list[str]], bytes]:
+    """One prime's summary and the encoded report text of its records.
 
-    The facts are (p, n, kind, match, discrepancies) per record.  The text
-    is ASCII: for json the records as they sit in the report's certificates
+    The summary is (kind, mismatches, flags): the prime's classification,
+    the number of its records whose predicted residue misses, and a text
+    "p=... n=...: ..." per discrepancy, in record order.  The text is
+    ASCII: for json the records as they sit in the report's certificates
     list, encoded in one _json_text call, for csv their rows.  The
     classification record comes first, then n in ascending order, so
     records are in report order without a sort.
@@ -184,37 +189,14 @@ def _scan_one(task) -> tuple[list[tuple], bytes]:
     if (p - 1) % 49 == 0:
         certs.extend(verify_prime(p, ns=None if all_n else (1,)))
     records = [c.to_json() for c in certs]
-    facts = [(r["p"], r["n"], r["classification"]["kind"], r["match"], r["discrepancies"])
-             for r in records]
+    summary = (certs[0].classification.kind,
+               sum(c.match is False for c in certs),
+               [f"p={p} n={c.n}: {d}" for c in certs for d in c.discrepancies])
     if fmt == "csv":
-        return facts, _csv_text(_csv_row(r) for r in records).encode()
+        return summary, _csv_text(_csv_row(r) for r in records).encode()
     # The records sit one level deep in the report, in its certificates
     # list: their list at level 1, less its "[\n" and "\n  ]", is their text.
-    return facts, _json_text(records, 1)[2:-4].encode()
-
-
-def _summarize(facts: list[tuple]) -> dict:
-    kinds = {}
-    mismatches = 0
-    discrepancies = []
-    first_artiad = None
-    for p, n, kind, match, flags in facts:
-        if n is None:  # one classification record per prime
-            kinds[kind] = kinds.get(kind, 0) + 1
-            if kind in ("artiad", "hyperartiad") and first_artiad is None:
-                first_artiad = p
-        if match is False:
-            mismatches += 1
-        for d in flags:
-            discrepancies.append(f"p={p} n={n}: {d}")
-    return {
-        "ordinary": kinds.get("ordinary", 0),
-        "artiad": kinds.get("artiad", 0),
-        "hyperartiad": kinds.get("hyperartiad", 0),
-        "mismatches": mismatches,
-        "discrepancy_flags": discrepancies,
-        "first_artiad": first_artiad,
-    }
+    return summary, _json_text(records, 1)[2:-4].encode()
 
 
 _CSV_COLUMNS = (["p", "gamma", "n", "match", "kind"]
@@ -258,10 +240,16 @@ def _scan_report(args) -> tuple[int, dict, bytearray]:
     primes = primes_in_range(args.min, args.max, args.modulus)
     tasks = [(p, args.all_n, args.format) for p in primes]
     sep = b"" if args.format == "csv" else b",\n"
-    facts = []
+    summary = {"ordinary": 0, "artiad": 0, "hyperartiad": 0, "mismatches": 0,
+               "discrepancy_flags": [], "first_artiad": None}
     body = bytearray()
-    for prime_facts, text in _scan_results(tasks, args.jobs):
-        facts.extend(prime_facts)
+    results = _scan_results(tasks, args.jobs)
+    for p, ((kind, mismatches, flags), text) in zip(primes, results):
+        summary[kind] += 1
+        if kind != "ordinary" and summary["first_artiad"] is None:
+            summary["first_artiad"] = p
+        summary["mismatches"] += mismatches
+        summary["discrepancy_flags"] += flags
         if body:
             body += sep
         body += text
@@ -276,7 +264,7 @@ def _scan_report(args) -> tuple[int, dict, bytearray]:
             "format": args.format,
         },
         "version": __version__,
-        "summary": _summarize(facts),
+        "summary": summary,
         "certificates": [],
         "runtime_seconds": round(time.monotonic() - start, 3),
     }

@@ -99,12 +99,6 @@ class CyclotomicInt:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs)
 
-    def constant_value(self) -> int:
-        """The rational integer this element equals, or raise if it is not one."""
-        if any(self.coeffs[1:]):
-            raise ValueError("element is not a rational integer")
-        return self.coeffs[0]
-
     def _check_same_ring(self, other: "CyclotomicInt") -> None:
         if not isinstance(other, CyclotomicInt):
             raise TypeError("expected a CyclotomicInt")
@@ -161,17 +155,6 @@ class CyclotomicInt:
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
-
-
-def apply_automorphism(a: CyclotomicInt, s: int) -> CyclotomicInt:
-    """The ring automorphism zeta -> zeta^s, for s coprime to the order."""
-    if math.gcd(s, a.e) != 1:
-        raise InputError(f"automorphism index {s} not coprime to {a.e}")
-    out = [0] * a.e
-    for k, v in enumerate(a.coeffs):
-        if v:
-            out[s * k % a.e] += v
-    return CyclotomicInt(a.e, out)
 
 
 @dataclass(frozen=True)

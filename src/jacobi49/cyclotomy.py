@@ -58,14 +58,10 @@ class CycNumberTable:
 
     e: int
     p: int
-    gamma: int
     counts: np.ndarray = field(repr=False)
 
     def cell(self, i: int, j: int) -> int:
         return int(self.counts[i % self.e, j % self.e])
-
-    def to_json(self) -> list[list[int]]:
-        return self.counts.tolist()
 
 
 @dataclass(frozen=True)
@@ -74,14 +70,10 @@ class DicksonHurwitzTable:
 
     e: int
     p: int
-    gamma: int
     B: np.ndarray = field(repr=False)
 
     def cell(self, i: int, j: int) -> int:
         return int(self.B[i % self.e, j % self.e])
-
-    def to_json(self) -> list[list[int]]:
-        return self.B.tolist()
 
 
 def jacobi_images(ctx: FieldContext, e: int) -> np.ndarray:
@@ -142,7 +134,7 @@ def cyclotomic_numbers(ctx: FieldContext, e: int) -> CycNumberTable:
     cells sum to p - 2 and the even-f classes hold); otherwise this raises.
     """
     counts = counts_from_factorials(ctx, e)
-    table = CycNumberTable(e=e, p=ctx.p, gamma=ctx.gamma, counts=counts)
+    table = CycNumberTable(e=e, p=ctx.p, counts=counts)
     problems = check_symmetries(table)
     if problems:
         raise InvariantViolation(
@@ -221,35 +213,6 @@ def jacobi_from_cyc(cyc: CycNumberTable, a: int, b: int) -> CyclotomicInt:
     return CyclotomicInt(cyc.e, jacobi_rows(cyc, a, (b,))[0].tolist())
 
 
-def cyc_from_jacobi(all_j: dict[tuple[int, int], CyclotomicInt], e: int,
-                    a: int, b: int) -> int:
-    """Inverse Fourier direction: recover (a,b)_e from the full Jacobi grid.
-
-    Evaluates sum_{i,j} zeta^-(ai+bj) J(i,j)_e, which must be the rational
-    constant e^2 (a,b)_e; anything else raises, since it means an upstream
-    table or sum is wrong.
-    """
-    acc = [0] * e
-    for i in range(e):
-        for j in range(e):
-            shift = (-(a * i + b * j)) % e
-            for k, v in enumerate(all_j[i, j].coeffs):
-                if v:
-                    acc[(k + shift) % e] += v
-    total = CyclotomicInt(e, acc)
-    try:
-        value = total.constant_value()
-    except ValueError as exc:
-        raise InvariantViolation(
-            f"Fourier inversion at ({a},{b}) is not a rational integer"
-        ) from exc
-    if value % (e * e) != 0:
-        raise InvariantViolation(
-            f"Fourier inversion at ({a},{b}) not divisible by {e}^2: {value}"
-        )
-    return value // (e * e)
-
-
 def dickson_hurwitz(cyc: CycNumberTable) -> DicksonHurwitzTable:
     """Full table of B(i,j)_e = sum_h (h, i - j*h)_e from the cyclotomic numbers.
 
@@ -257,7 +220,7 @@ def dickson_hurwitz(cyc: CycNumberTable) -> DicksonHurwitzTable:
     """
     B = np.ascontiguousarray(_shear_sums(cyc.counts, range(cyc.e)).T)
     B.flags.writeable = False
-    return DicksonHurwitzTable(e=cyc.e, p=cyc.p, gamma=cyc.gamma, B=B)
+    return DicksonHurwitzTable(e=cyc.e, p=cyc.p, B=B)
 
 
 def jacobi_rows_via_dh(dh: DicksonHurwitzTable, js) -> np.ndarray:
@@ -318,7 +281,9 @@ def identity_suite(cyc: CycNumberTable) -> list[str]:
     """Check the elementary Jacobi-sum identities at every index pair; return failures.
 
     Each J(i,j)_e is the Fourier transform of the table (jacobi_rows),
-    and the transform inverts exactly (cyc_from_jacobi).  So J(0,0) = p - 2
+    and the transform inverts exactly: e^2 (a,b)_e is the sum over i, j
+    of zeta^-(ai + bj) J(i,j), which the test reference cyc_from_jacobi
+    (tests/oracles.py) evaluates.  So J(0,0) = p - 2
     and the Jacobi six-class identities J(i,j) = J(j,i) = J(-i-j,j) = ...
     at all e^2 pairs say the same as: the cells sum to p - 2 and obey the
     even-f symmetry classes, which check_symmetries tests on the table

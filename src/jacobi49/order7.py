@@ -13,7 +13,9 @@ inverting the linear relations between the x's and the Dickson-Hurwitz
 column B(i,1)_7; the quadratic system is used as a checksum only, never
 searched.  That removes the "suitable choice of solution" ambiguity: each
 generator class pins exactly one sextuple, and the six conjugate
-characters give the six-element orbit.
+characters give the six-element orbit.  The orbit, the two trivial
+solutions and the circulating x4 reading of the (0,1) closed-form row are
+test references (tests/oracles.py): the pipeline reads none of them.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ import numpy as np
 
 from .cyclotomy import CycNumberTable, DicksonHurwitzTable, six_class
 from .errors import InputError, InvariantViolation
+from .prime_field import seventh_root_of_unity
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,10 @@ def tu_decompose(p: int) -> TUPair:
     of -7 mod p stops at the first remainder t below sqrt(p), and then
     p - t^2 = 7u^2.  The root is the conductor-7 Gauss sum
     w + w^2 + w^4 - w^3 - w^5 - w^6, whose square is -7 for any seventh
-    root of unity w != 1 mod p; no square root is searched for.
+    root of unity w != 1 mod p (prime_field.seventh_root_of_unity); no
+    square root is searched for.
     """
-    if p % 7 != 1:
-        raise InputError("t/u decomposition needs p = 1 (mod 7)")
-    g, w = 2, pow(2, (p - 1) // 7, p)
-    while w == 1:
-        g += 1
-        w = pow(g, (p - 1) // 7, p)
+    w = seventh_root_of_unity(p)
     x = [1]
     for _ in range(6):
         x.append(x[-1] * w % p)
@@ -114,55 +113,6 @@ def solution_from_tables(dh7: DicksonHurwitzTable) -> Sextuple:
     if alt5 != 7 * x5:
         raise InvariantViolation(f"x5 cross-derivation mismatch for p = {dh7.p}")
     return Sextuple(x1, x2, x3, x4, x5, x6)
-
-
-_CONJUGATION = {1, 2, 3, 4, 5, 6}
-
-
-def conjugate(sol: Sextuple, s: int) -> Sextuple:
-    """The sextuple attached to the character chi^s, from the one for chi.
-
-    These are the six nontrivial solutions of the quadratic system; the
-    action is a group (conjugate(conjugate(x, s), t) = conjugate(x, s*t)),
-    so the orbit is closed by construction.
-    """
-    s %= 7
-    if s not in _CONJUGATION:
-        raise InputError("conjugation exponent must be nonzero mod 7")
-    x1, x2, x3, x4, x5, x6 = sol.as_tuple()
-    if (x5 + 3 * x6) % 2 or (x5 - x6) % 2:
-        raise InvariantViolation("parity constraint broken; orbit would leave Z")
-    half_a = (x5 + 3 * x6) // 2   # appears in the order-3 tail action
-    half_b = (x5 - x6) // 2
-    half_c = (x5 - 3 * x6) // 2
-    half_d = (x5 + x6) // 2
-    table = {
-        1: (x1, x2, x3, x4, x5, x6),
-        2: (x1, -x4, x2, -x3, -half_c, -half_d),
-        3: (x1, -x3, x4, x2, -half_a, half_b),
-        4: (x1, x3, -x4, -x2, -half_a, half_b),
-        5: (x1, x4, -x2, x3, -half_c, -half_d),
-        6: (x1, -x2, -x3, -x4, x5, x6),
-    }
-    return Sextuple(*table[s])
-
-
-def orbit(sol: Sextuple) -> list[Sextuple]:
-    """All six conjugate solutions, the given one first.
-
-    Order matches the catalog convention for the nontrivial solutions
-    (conjugation exponents 1, 4, 5, 2, 3, 6).
-    """
-    return [conjugate(sol, s) for s in (1, 4, 5, 2, 3, 6)]
-
-
-def trivial_solutions(tu: TUPair) -> list[Sextuple]:
-    """The two solutions (-6t, +-2u, +-2u, -+2u, 0, 0) of the quadratic system."""
-    t, u = tu.t, tu.u
-    return [
-        Sextuple(-6 * t, 2 * u, 2 * u, -2 * u, 0, 0),
-        Sextuple(-6 * t, -2 * u, -2 * u, 2 * u, 0, 0),
-    ]
 
 
 def norm_form(sol: Sextuple) -> int:
@@ -233,12 +183,6 @@ CYC7_ROW_COEFFS: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 4): (12, 12, 24, 0, 8, 0, 0, 0, 98, 294),
 }
 
-# The (0,1) row also circulates with the x5 coefficient attached to x4
-# instead; that reading breaks the table total and is kept only so the
-# adjudication can be re-run (see tests).
-CYC7_ROW_01_X4_VARIANT = (-72, 12, 24, 168, -6, 84, -42, 147, 0, 147)
-
-
 def _row_value(row: tuple[int, ...], p: int, t: int, u: int, sol: Sextuple) -> int:
     c0, cp, ct, cu, *cx = row
     return (c0 + cp * p + ct * t + cu * u
@@ -272,7 +216,7 @@ def cyc7_from_solution(sol: Sextuple, t: int, u: int, p: int) -> CycNumberTable:
         for (a, b) in six_class(7, i, j):
             counts[a, b] = val
     counts.flags.writeable = False
-    return CycNumberTable(e=7, p=p, gamma=0, counts=counts)
+    return CycNumberTable(e=7, p=p, counts=counts)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,11 @@ on first use and then kept:
     the direct counts read: the pair count that checks the cyclotomic
     numbers in verification, and the direct character sums.
 
-A single full logarithm (index_of) comes from Pohlig-Hellman, ind(a)
-mod e for e | m (index_mod) from a^((p-1)/e), and the seventh-power test
-from Euler's criterion; none of them reads a table.
+ind(a) mod e for e | m (index_mod) comes from a^((p-1)/e), the
+seventh-power test from Euler's criterion, and a primitive seventh root
+of unity (seventh_root_of_unity) from the least a with a^((p-1)/7) != 1;
+none of them reads a table.  A full logarithm, by Pohlig-Hellman, is a
+test reference (tests/oracles.py).
 """
 
 import math
@@ -43,7 +45,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond the supported range."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -78,10 +80,13 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _generates(g: int, p: int, factors: list[int]) -> bool:
+    """Whether g has order p - 1 mod p, given the prime factors of p - 1."""
+    return all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+
+
 def is_primitive_root(g: int, p: int) -> bool:
-    if g % p == 0:
-        return False
-    return all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
+    return g % p != 0 and _generates(g, p, _prime_factors(p - 1))
 
 
 def find_generator(p: int) -> int:
@@ -90,9 +95,24 @@ def find_generator(p: int) -> int:
         raise InputError(f"{p} is not an odd prime")
     factors = _prime_factors(p - 1)
     for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+        if _generates(g, p, factors):
             return g
     raise InputError(f"no generator found for {p}")  # pragma: no cover
+
+
+def seventh_root_of_unity(p: int) -> int:
+    """A primitive seventh root of unity modulo the prime p = 1 (mod 7).
+
+    It is a^((p-1)/7) for the least a >= 2 that is not a seventh power,
+    so it depends on p alone, not on a generator.
+    """
+    if p % 7 != 1:
+        raise InputError(f"{p} is not 1 (mod 7): no primitive seventh root of unity")
+    f = (p - 1) // 7
+    a = 2
+    while (w := pow(a, f, p)) == 1:
+        a += 1
+    return w
 
 
 @dataclass(frozen=True)
@@ -160,47 +180,6 @@ def build_ctx(p: int, gamma: int | None = None) -> FieldContext:
         if not is_primitive_root(gamma, p):
             raise InputError(f"{gamma} is not a primitive root modulo {p}")
     return FieldContext(p=p, gamma=gamma, m=math.gcd(p - 1, CLASS_MODULUS))
-
-
-def _dlog_prime_order(g: int, h: int, q: int, p: int) -> int:
-    """x in [0, q) with g**x == h (mod p), g of prime order q: baby-step giant-step."""
-    s = math.isqrt(q - 1) + 1
-    baby = {}
-    x = 1
-    for j in range(s):
-        baby.setdefault(x, j)
-        x = x * g % p
-    giant = pow(g, -s, p)
-    y = h
-    for i in range(s):
-        j = baby.get(y)
-        if j is not None:
-            return i * s + j
-        y = y * giant % p
-    raise InvariantViolation(f"{h} is not a power of {g} modulo {p}")
-
-
-def index_of(ctx: FieldContext, a: int) -> int:
-    """Discrete log of a with respect to ctx.gamma, in [0, p - 1); a nonzero mod p.
-
-    Pohlig-Hellman over the prime factors q of p - 1, one base-q digit
-    at a time in the subgroup of order q; no table over F_p is read.
-    """
-    p, n = ctx.p, ctx.p - 1
-    r = a % p
-    if r == 0:
-        raise DomainError("index of 0 is undefined")
-    x, modulus = 0, 1
-    for q in _prime_factors(n):
-        g = pow(ctx.gamma, n // q, p)
-        xq, qd = 0, 1  # x mod qd, for qd = q**d
-        while n % (qd * q) == 0:
-            h = pow(r * pow(ctx.gamma, -xq, p) % p, n // (qd * q), p)
-            xq += _dlog_prime_order(g, h, q, p) * qd
-            qd *= q
-        x += modulus * ((xq - x) * pow(modulus, -1, qd) % qd)
-        modulus *= qd
-    return x
 
 
 def index_mod(ctx: FieldContext, a: int, e: int) -> int:

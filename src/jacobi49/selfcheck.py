@@ -29,51 +29,58 @@ PAIRS = 100   # random pairs of the homomorphism check
 SEED = 7
 
 
-def run_selfchecks() -> list[tuple[str, bool]]:
-    """Run every check; returns (name, passed) pairs."""
+def _residue_map_is_a_homomorphism() -> bool:
     rng = random.Random(SEED)
-    results = []
-
-    results.append(("cyclotomic polynomial at 1 + t is t^42 over F_7",
-                    check_reduction_identity()))
-    results.append(("defining relation canonicalizes to zero",
-                    cyclotomic_poly_at_zeta(49).is_zero()
-                    and cyclotomic_poly_at_zeta(7).is_zero()))
-    results.append(("residue of 7 vanishes",
-                    residue_mod_t8(CyclotomicInt.from_int(49, 7)).coeffs == (0,) * 8))
-    zeta_minus_1 = CyclotomicInt.monomial(49, 1) - 1
-    results.append(("valuation anchors: v(0) = inf, v(zeta - 1) = 1, v(7) = 42",
-                    valuation(CyclotomicInt.zero(49)) == math.inf
-                    and valuation(zeta_minus_1) == 1
-                    and valuation(CyclotomicInt.from_int(49, 7)) == 42))
-
-    hom_ok = True
     for _ in range(PAIRS):
         a, b = _random_element(rng), _random_element(rng)
-        if residue_mod_t8(a * b) != residue_mod_t8(a) * residue_mod_t8(b):
-            hom_ok = False
-            break
+        ra, rb = residue_mod_t8(a), residue_mod_t8(b)
+        if residue_mod_t8(a * b) != ra * rb:
+            return False
         if residue_mod_t8(a + b).coeffs != tuple(
-                (x + y) % 7 for x, y in
-                zip(residue_mod_t8(a).coeffs, residue_mod_t8(b).coeffs)):
-            hom_ok = False
-            break
-    results.append((f"residue map is a ring homomorphism ({PAIRS} random pairs)",
-                    hom_ok))
+                (x + y) % 7 for x, y in zip(ra.coeffs, rb.coeffs)):
+            return False
+    return True
 
-    results.append(("factorial kernel equals math.factorial at every n < 197, mod 197",
-                    _kernels.factorials(197, range(197)).tolist()
-                    == [math.factorial(n) % 197 for n in range(197)]))
 
-    ctx = build_ctx(29)
-    results.append(("elementary Jacobi-sum identities hold at p = 29",
-                    not identity_suite(cyclotomic_numbers(ctx, 7))))
+def _tables_agree() -> bool:
+    return all(np.array_equal(cyclotomic_numbers(ctx, e).counts,
+                              _kernels.pair_counts(ctx.classes, e))
+               for ctx, orders in ((build_ctx(29), (7,)), (build_ctx(197), (7, 49)))
+               for e in orders)
 
-    tables_ok = True
-    for ctx, orders in ((ctx, (7,)), (build_ctx(197), (7, 49))):
-        for e in orders:
-            tables_ok &= np.array_equal(cyclotomic_numbers(ctx, e).counts,
-                                        _kernels.pair_counts(ctx.classes, e))
-    results.append(("cyclotomic numbers from factorials equal the class-pair counts "
-                    "at p = 29 and 197", tables_ok))
+
+CHECKS = (
+    ("cyclotomic polynomial at 1 + t is t^42 over F_7", check_reduction_identity),
+    ("defining relation canonicalizes to zero",
+     lambda: cyclotomic_poly_at_zeta(49).is_zero() and cyclotomic_poly_at_zeta(7).is_zero()),
+    ("residue of 7 vanishes",
+     lambda: residue_mod_t8(CyclotomicInt.from_int(49, 7)).coeffs == (0,) * 8),
+    ("valuation anchors: v(0) = inf, v(zeta - 1) = 1, v(7) = 42",
+     lambda: valuation(CyclotomicInt.zero(49)) == math.inf
+     and valuation(CyclotomicInt.monomial(49, 1) - 1) == 1
+     and valuation(CyclotomicInt.from_int(49, 7)) == 42),
+    (f"residue map is a ring homomorphism ({PAIRS} random pairs)",
+     _residue_map_is_a_homomorphism),
+    ("factorial kernel equals math.factorial at every n < 197, mod 197",
+     lambda: _kernels.factorials(197, range(197)).tolist()
+     == [math.factorial(n) % 197 for n in range(197)]),
+    ("elementary Jacobi-sum identities hold at p = 29",
+     lambda: not identity_suite(cyclotomic_numbers(build_ctx(29), 7))),
+    ("cyclotomic numbers from factorials equal the class-pair counts at p = 29 and 197",
+     _tables_agree),
+)
+
+
+def run_selfchecks() -> list[tuple[str, bool]]:
+    """Run every check; returns (name, passed) pairs.
+
+    A check that raises has failed: its name then carries the exception,
+    and the checks after it still run.
+    """
+    results = []
+    for name, check in CHECKS:
+        try:
+            results.append((name, bool(check())))
+        except Exception as exc:  # a fault in a check is its failure, not a crash
+            results.append((f"{name} (raised {type(exc).__name__}: {exc})", False))
     return results

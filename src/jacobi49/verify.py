@@ -147,7 +147,7 @@ def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> list[Cer
             counted_ok = (counts == cyc49.counts).all()
             folded_ok = (counts.reshape(7, 7, 7, 7).sum(axis=(0, 2))
                          == bundle.cyc7.counts).all()
-            counted = CycNumberTable(e=49, p=p, gamma=ctx.gamma, counts=counts)
+            counted = CycNumberTable(e=49, p=p, counts=counts)
             direct[np.equal(rows, 1)] = jacobi_rows(counted, 1, (1,))
             suite_ok = not identity_suite(cyc49)
         images = image_rows(direct)
@@ -162,7 +162,7 @@ def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> list[Cer
                       & (direct == via_cyc).all(axis=1)).tolist()
 
     classification = artiad_mod.classify_from_parts(
-        ctx, bundle.cyc7, sol, coeffs1=None if dh49 is None else coeffs[0],
+        ctx, sol, coeffs1=None if dh49 is None else coeffs[0],
         actual_residue=actual[0], u_signed=recon.u_signed)
     ev = classification.evidence
     per_prime = tuple(text for failed, text in (

@@ -55,7 +55,7 @@ def with_shuffled_copy():
     def get(ctx, e: int) -> tuple[CycNumberTable, CycNumberTable]:
         cyc = cyclotomic_numbers(ctx, e)
         counts = np.random.default_rng(ctx.p * e).permutation(cyc.counts.ravel())
-        shuffled = CycNumberTable(e=e, p=cyc.p, gamma=cyc.gamma, counts=counts.reshape(e, e))
+        shuffled = CycNumberTable(e=e, p=cyc.p, counts=counts.reshape(e, e))
         assert (shuffled.counts != shuffled.counts.T).any() and check_symmetries(shuffled)
         return cyc, shuffled
 

@@ -1,13 +1,15 @@
 """Reference formulas that only the tests compare against."""
 
+import math
 from math import isqrt
 
 import numpy as np
 
-from jacobi49.cyclotomic_ring import Residue8
+from jacobi49.cyclotomic_ring import CyclotomicInt, Residue8
 from jacobi49.cyclotomy import CycNumberTable
+from jacobi49.errors import DomainError, InputError, InvariantViolation
 from jacobi49.order7 import Sextuple, TUPair
-from jacobi49.prime_field import FieldContext, index_of
+from jacobi49.prime_field import FieldContext, _prime_factors
 
 
 def residue8(*coeffs: int) -> Residue8:
@@ -90,3 +92,135 @@ def tu_search(p: int) -> TUPair:
             return TUPair(t=t if t % 7 == 1 else -t, u=u)
         u += 1
     raise ValueError(f"p = {p} has no t^2 + 7u^2 representation")
+
+
+def _dlog_prime_order(g: int, h: int, q: int, p: int) -> int:
+    """x in [0, q) with g**x == h (mod p), g of prime order q: baby-step giant-step."""
+    s = math.isqrt(q - 1) + 1
+    baby = {}
+    x = 1
+    for j in range(s):
+        baby.setdefault(x, j)
+        x = x * g % p
+    giant = pow(g, -s, p)
+    y = h
+    for i in range(s):
+        j = baby.get(y)
+        if j is not None:
+            return i * s + j
+        y = y * giant % p
+    raise InvariantViolation(f"{h} is not a power of {g} modulo {p}")
+
+
+def index_of(ctx: FieldContext, a: int) -> int:
+    """Discrete log of a with respect to ctx.gamma, in [0, p - 1); a nonzero mod p.
+
+    Pohlig-Hellman over the prime factors q of p - 1, one base-q digit
+    at a time in the subgroup of order q; no table over F_p is read.
+    """
+    p, n = ctx.p, ctx.p - 1
+    r = a % p
+    if r == 0:
+        raise DomainError("index of 0 is undefined")
+    x, modulus = 0, 1
+    for q in _prime_factors(n):
+        g = pow(ctx.gamma, n // q, p)
+        xq, qd = 0, 1  # x mod qd, for qd = q**d
+        while n % (qd * q) == 0:
+            h = pow(r * pow(ctx.gamma, -xq, p) % p, n // (qd * q), p)
+            xq += _dlog_prime_order(g, h, q, p) * qd
+            qd *= q
+        x += modulus * ((xq - x) * pow(modulus, -1, qd) % qd)
+        modulus *= qd
+    return x
+
+
+def apply_automorphism(a: CyclotomicInt, s: int) -> CyclotomicInt:
+    """The ring automorphism zeta -> zeta^s, for s coprime to the order."""
+    if math.gcd(s, a.e) != 1:
+        raise InputError(f"automorphism index {s} not coprime to {a.e}")
+    out = [0] * a.e
+    for k, v in enumerate(a.coeffs):
+        if v:
+            out[s * k % a.e] += v
+    return CyclotomicInt(a.e, out)
+
+
+def cyc_from_jacobi(all_j: dict[tuple[int, int], CyclotomicInt], e: int,
+                    a: int, b: int) -> int:
+    """Inverse Fourier direction: recover (a,b)_e from the full Jacobi grid.
+
+    Evaluates sum_{i,j} zeta^-(ai+bj) J(i,j)_e, which must be the rational
+    constant e^2 (a,b)_e; anything else raises, since it means an upstream
+    table or sum is wrong.
+    """
+    acc = [0] * e
+    for i in range(e):
+        for j in range(e):
+            shift = (-(a * i + b * j)) % e
+            for k, v in enumerate(all_j[i, j].coeffs):
+                if v:
+                    acc[(k + shift) % e] += v
+    value, *rest = CyclotomicInt(e, acc).coeffs
+    if any(rest):
+        raise InvariantViolation(f"Fourier inversion at ({a},{b}) is not a rational integer")
+    if value % (e * e) != 0:
+        raise InvariantViolation(
+            f"Fourier inversion at ({a},{b}) not divisible by {e}^2: {value}"
+        )
+    return value // (e * e)
+
+
+_CONJUGATION = {1, 2, 3, 4, 5, 6}
+
+
+def conjugate(sol: Sextuple, s: int) -> Sextuple:
+    """The sextuple attached to the character chi^s, from the one for chi.
+
+    These are the six nontrivial solutions of the quadratic system; the
+    action is a group (conjugate(conjugate(x, s), t) = conjugate(x, s*t)),
+    so the orbit is closed by construction.
+    """
+    s %= 7
+    if s not in _CONJUGATION:
+        raise InputError("conjugation exponent must be nonzero mod 7")
+    x1, x2, x3, x4, x5, x6 = sol.as_tuple()
+    if (x5 + 3 * x6) % 2 or (x5 - x6) % 2:
+        raise InvariantViolation("parity constraint broken; orbit would leave Z")
+    half_a = (x5 + 3 * x6) // 2   # appears in the order-3 tail action
+    half_b = (x5 - x6) // 2
+    half_c = (x5 - 3 * x6) // 2
+    half_d = (x5 + x6) // 2
+    table = {
+        1: (x1, x2, x3, x4, x5, x6),
+        2: (x1, -x4, x2, -x3, -half_c, -half_d),
+        3: (x1, -x3, x4, x2, -half_a, half_b),
+        4: (x1, x3, -x4, -x2, -half_a, half_b),
+        5: (x1, x4, -x2, x3, -half_c, -half_d),
+        6: (x1, -x2, -x3, -x4, x5, x6),
+    }
+    return Sextuple(*table[s])
+
+
+def orbit(sol: Sextuple) -> list[Sextuple]:
+    """All six conjugate solutions, the given one first.
+
+    Order matches the catalog convention for the nontrivial solutions
+    (conjugation exponents 1, 4, 5, 2, 3, 6).
+    """
+    return [conjugate(sol, s) for s in (1, 4, 5, 2, 3, 6)]
+
+
+def trivial_solutions(tu: TUPair) -> list[Sextuple]:
+    """The two solutions (-6t, +-2u, +-2u, -+2u, 0, 0) of the quadratic system."""
+    t, u = tu.t, tu.u
+    return [
+        Sextuple(-6 * t, 2 * u, 2 * u, -2 * u, 0, 0),
+        Sextuple(-6 * t, -2 * u, -2 * u, 2 * u, 0, 0),
+    ]
+
+
+# The (0,1) row also circulates with the x5 coefficient attached to x4
+# instead; that reading breaks the table total and is kept only so the
+# adjudication can be re-run (test_order7).
+CYC7_ROW_01_X4_VARIANT = (-72, 12, 24, 168, -6, 84, -42, 147, 0, 147)

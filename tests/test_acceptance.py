@@ -23,13 +23,13 @@ from jacobi49.artiad import (artiad_conditions, classify_via_cubic, classify_via
                              simplified_residue)
 from jacobi49.cli import primes_in_range
 from jacobi49.congruence import coeffs_by_definition, s_direct, s_lemma
-from jacobi49.cyclotomy import (cyc_from_jacobi, cyclotomic_numbers, jacobi_from_cyc,
-                                identity_suite)
-from jacobi49.order7 import norm_form, orbit
-from jacobi49.prime_field import find_generator, index_of, is_primitive_root
+from jacobi49.cyclotomy import cyclotomic_numbers, jacobi_from_cyc, identity_suite
+from jacobi49.order7 import norm_form
+from jacobi49.prime_field import find_generator, is_primitive_root
 from jacobi49.selfcheck import run_selfchecks
 from jacobi49.verify import prepare_prime, verify_prime
-from oracles import ind7_mod49_relation, ind7_muskat, residue8
+from oracles import (cyc_from_jacobi, ind7_mod49_relation, ind7_muskat, index_of, orbit,
+                     residue8)
 
 P49_20000 = primes_in_range(2, 20000, 49)
 P49_5000 = [p for p in P49_20000 if p < 5000]

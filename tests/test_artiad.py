@@ -3,16 +3,15 @@ import pytest
 from jacobi49 import _kernels
 from jacobi49.artiad import (classify_from_parts, classify_via_cubic,
                              classify_via_x, cubic_roots, artiad_conditions,
-                             hyperartiad_conditions, simplified_residue)
+                             simplified_residue)
 from jacobi49.cli import primes_in_range
 from jacobi49.congruence import coeffs_by_definition, s_direct
 from jacobi49.cyclotomic_ring import residue_mod_t8
 from jacobi49.cyclotomy import jacobi_sum
 from jacobi49.errors import InputError
-from jacobi49.order7 import Sextuple, orbit, trivial_solutions, tu_decompose
-from jacobi49.prime_field import index_of
+from jacobi49.order7 import Sextuple, tu_decompose
 from jacobi49.verify import classify_prime, verify_prime
-from oracles import ind7_mod49_relation, ind7_muskat
+from oracles import ind7_mod49_relation, ind7_muskat, index_of, orbit, trivial_solutions
 
 P14_1000 = primes_in_range(2, 1000, 14)
 P49_3000 = primes_in_range(2, 3000, 49)
@@ -103,17 +102,17 @@ def test_characterization_biconditionals_small(bundle, p):
     artiad = classify_via_x(b.sol)
     hyper = artiad and ind7 % 7 == 0
     assert all(artiad_conditions(coeffs, b.sol, ind7, p)) == artiad
-    assert all(hyperartiad_conditions(coeffs, b.sol, p)) == hyper
+    assert all(artiad_conditions(coeffs, b.sol, 0, p)) == hyper
 
 
 def test_classification_kinds(bundle):
     b = bundle(29)
-    cl = classify_from_parts(b.ctx, b.cyc7, b.sol)
+    cl = classify_from_parts(b.ctx, b.sol)
     assert cl.kind == "ordinary"
     assert cl.evidence.lemma4 is None  # 29 is not 1 (mod 49)
 
     b = bundle(FIRST_ARTIAD_MOD14)
-    cl = classify_from_parts(b.ctx, b.cyc7, b.sol)
+    cl = classify_from_parts(b.ctx, b.sol)
     assert cl.kind == "artiad"
     assert cl.evidence.via_x and cl.evidence.via_cubic
 
@@ -130,7 +129,7 @@ def test_classification_generator_independent(bundle):
         flags = set()
         for g in (None, second_primroot(p)):
             b = bundle(p, g)
-            cl = classify_from_parts(b.ctx, b.cyc7, b.sol)
+            cl = classify_from_parts(b.ctx, b.sol)
             kinds.add(cl.kind)
             flags.add(cl.evidence.ind7_zero)
         assert len(kinds) == 1 and len(flags) == 1

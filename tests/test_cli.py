@@ -482,6 +482,26 @@ def test_selftest_detects_a_wrong_factorial_kernel(capsys, monkeypatch):
     assert "[FAIL] factorial kernel" in out
 
 
+def test_selftest_reports_a_raising_check_as_failed(capsys, monkeypatch):
+    # fault injection: the last factorial wrong, so the table built from
+    # them breaks its symmetry check and cyclotomic_numbers raises
+    from jacobi49 import _kernels
+    real = _kernels.factorials
+
+    def wrong(p, ns):
+        out = real(p, ns)
+        out[-1] = 2 * out[-1] % p
+        return out
+
+    monkeypatch.setattr(_kernels, "factorials", wrong)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert "[FAIL] factorial kernel" in out
+    assert "[FAIL] elementary Jacobi-sum identities hold at p = 29 (raised InvariantViolation" in out
+    assert "[FAIL] cyclotomic numbers from factorials" in out
+    assert "[ok] residue of 7 vanishes" in out
+
+
 def test_selftest_detects_corrupted_reduction_table(capsys):
     # fault injection: corrupt the binomial row behind the residue map
     from jacobi49 import cyclotomic_ring

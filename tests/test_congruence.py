@@ -413,7 +413,7 @@ def test_dh_column_is_compared_at_its_own_n(monkeypatch, k):
         B = dh.B.copy()
         B[0, k] -= 1
         B[1, k] += 1
-        return DicksonHurwitzTable(e=dh.e, p=dh.p, gamma=dh.gamma, B=B)
+        return DicksonHurwitzTable(e=dh.e, p=dh.p, B=B)
 
     monkeypatch.setattr(verify, "dickson_hurwitz", perturbed)
     certs = verify_prime(197)

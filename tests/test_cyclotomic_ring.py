@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobi49.cyclotomic_ring import (CyclotomicInt, Residue8, apply_automorphism,
-                                      canonical_rows, check_reduction_identity,
-                                      cyclotomic_poly_at_zeta, residue_mod_t8,
-                                      valuation)
+from jacobi49.cyclotomic_ring import (CyclotomicInt, Residue8, canonical_rows,
+                                      check_reduction_identity, cyclotomic_poly_at_zeta,
+                                      residue_mod_t8, valuation)
 from jacobi49.errors import InputError
-from oracles import residue8
+from oracles import apply_automorphism, residue8
 
 zeta49 = CyclotomicInt.monomial(49, 1)
 zeta7 = CyclotomicInt.monomial(7, 1)

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from jacobi49 import _kernels
 from jacobi49.artiad import classify_via_cubic
 from jacobi49.cli import primes_in_range
-from jacobi49.cyclotomic_ring import CyclotomicInt, apply_automorphism
-from jacobi49.cyclotomy import (CycNumberTable, check_symmetries,
-                                cyc_from_jacobi, cyclotomic_numbers,
+from jacobi49.cyclotomic_ring import CyclotomicInt
+from jacobi49.cyclotomy import (CycNumberTable, check_symmetries, cyclotomic_numbers,
                                 dickson_hurwitz, jacobi_from_cyc, jacobi_rows,
                                 jacobi_rows_via_dh, jacobi_sum, jacobi_sum_variant,
                                 jacobi_via_dh, six_class, identity_suite)
 from jacobi49.errors import InputError, InvariantViolation
 from jacobi49.prime_field import (MAX_PRIME, build_ctx, find_generator, index_mod,
                                   is_primitive_root, is_seventh_power_residue)
-from oracles import block_factorials, pair_counts_full_field
+from oracles import (apply_automorphism, block_factorials, cyc_from_jacobi,
+                     pair_counts_full_field)
 
 
 def jacobi_six_class(e: int, i: int, j: int) -> set[tuple[int, int]]:
@@ -228,7 +228,7 @@ def test_identity_suite_full_small_primes(bundle):
 
 
 def _with_counts(cyc, counts):
-    return CycNumberTable(e=cyc.e, p=cyc.p, gamma=cyc.gamma, counts=counts)
+    return CycNumberTable(e=cyc.e, p=cyc.p, counts=counts)
 
 
 def test_identity_suite_checks_the_modulus_off_the_galois_representatives(bundle):
@@ -329,7 +329,7 @@ def test_identity_suite_catches_every_single_count_move(bundle):
 
 def test_identity_suite_refuses_odd_cofactor():
     # (p - 1)/e odd cannot happen for odd e | p - 1; a table claiming it is wrong
-    cyc = CycNumberTable(e=2, p=7, gamma=3, counts=np.zeros((2, 2), dtype=np.int64))
+    cyc = CycNumberTable(e=2, p=7, counts=np.zeros((2, 2), dtype=np.int64))
     with pytest.raises(InvariantViolation):
         identity_suite(cyc)
 

@@ -2,11 +2,10 @@ import pytest
 
 from jacobi49.cli import primes_in_range
 from jacobi49.errors import InputError, InvariantViolation
-from jacobi49.order7 import (CYC7_ROW_COEFFS, CYC7_ROW_01_X4_VARIANT, Sextuple,
-                             _row_value, conjugate, cyc7_from_solution,
-                             match_reconstruction, norm_form, orbit, recover_t,
-                             trivial_solutions, tu_decompose, verify_diophantine)
-from oracles import tu_search
+from jacobi49.order7 import (CYC7_ROW_COEFFS, Sextuple, _row_value, cyc7_from_solution,
+                             match_reconstruction, norm_form, recover_t, tu_decompose,
+                             verify_diophantine)
+from oracles import CYC7_ROW_01_X4_VARIANT, conjugate, orbit, trivial_solutions, tu_search
 
 P14_SMALL = primes_in_range(2, 1500, 14)
 

@@ -21,6 +21,16 @@ GOLDEN = {
         "e6d2115272113277c144b6b44a5cf87460259030418fbcc2738ca33a06f7cc2a",
     ("verify", "--prime", "60271", "--all-n"):
         "a0b48d0251813e8cbd73ebd451dd09d705b2fa55e2133eb0c503d804d535e90d",
+    # multi-slab factorials, multi-block class tables and the float64
+    # inverse transform near its bound, up to the supported cap
+    ("verify", "--prime", "1000679", "--all-n"):
+        "aa5f5bd6fc9c662d69c11d0a10d778fcc039da15ff364088d8ad77890cc1dcc0",
+    ("verify", "--prime", "9999823", "--all-n"):
+        "cc50e874769b58c6494e8f2fd2b952d1d4eb5f9b314726a8222fd34d172068ed",
+    ("classify", "--prime", "4500007"):
+        "5d38f89330ef167020d485cb9ba5824cd7916a8691f304a00ded8a2505258ab7",
+    ("classify", "--prime", "9999991"):
+        "4a725b2a6565610cca50ccd36f6d3a4b1625f6b1543d4c955dea3cc5d545e18a",
     ("classify", "--prime", "43"):
         "2856e680daa20b97b8d0021f57e70056c366aa03c164164f5846388d05ac0e53",
     ("classify", "--prime", "197"):
