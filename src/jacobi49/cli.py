@@ -3,7 +3,7 @@
 Subcommands:
   verify    one prime p = 1 (mod 49): certificate(s) on stdout
   classify  one prime p = 1 (mod 14): artiad classification on stdout
-  scan      a prime range, with a worker pool and a JSON or CSV report
+  scan      a prime range, in up to --jobs processes, to a JSON or CSV report
   selftest  the startup algebra checks
 
 Exit codes: 0 all checks passed, 1 a mathematical comparison failed or a
@@ -14,19 +14,25 @@ Reports are deterministic for a fixed configuration independent of the
 worker count; the only field that varies between runs is runtime_seconds.
 Every JSON byte the CLI writes comes from one writer, _json_text: the C
 encoder's compact text, indented by one numpy pass to the bytes of
-json.dumps(obj, indent=2).  A scan encodes each prime's records in the
-worker that computes them, all in one call; the parent gathers the encoded
-text in p order into one buffer and writes it between the report's header
-and its runtime, with the same bytes that one json.dump(report, indent=2)
-or csv.writer over all records would give.  Beside its text each worker
-returns the prime's summary: its kind, its number of mismatches and its
-discrepancy texts.  The parent adds each into the report's summary as the
-prime arrives, so it keeps nothing per record.  verify and classify write
+json.dumps(obj, indent=2).  A scan runs in at most --jobs processes, and
+the parent is one of them: it gives each pool process at most _QUEUED
+primes at a time and computes the next prime itself while the oldest one
+pending is unfinished (_scan_results), so the primes pending at once do
+not grow in number with the range.  Each
+prime's records are encoded by the process that computes them, all in
+one call; the parent gathers the encoded text in p order into one buffer
+and writes it between the report's header and its runtime, with the
+same bytes that one json.dump(report, indent=2) or csv.writer over all
+records would give.  Beside its text each prime yields its summary: its
+kind, its number of mismatches and its discrepancy texts.  The parent
+adds each into the report's summary as the prime arrives, so it keeps
+nothing per record.  verify and classify write
 their text to stdout in one write; if stdout cannot take it they exit 2,
 as scan does for its report path.
 """
 
 import argparse
+import collections
 import contextlib
 import csv
 import io
@@ -35,7 +41,7 @@ import os
 import stat
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 
@@ -59,11 +65,14 @@ def primes_in_range(lo: int, hi: int, modulus: int) -> list[int]:
     for q in range(2, int(hi**0.5) + 1):
         if sieve[q]:
             sieve[q * q :: q] = b"\x00" * len(sieve[q * q :: q])
-    return [p for p in range(max(lo, 2), hi + 1) if sieve[p] and p % modulus == 1]
+    first = max(lo, 2)
+    first += (1 - first) % modulus  # the first p = 1 (mod modulus) from there
+    return [p for p in range(first, hi + 1, modulus) if sieve[p]]
 
 
-# The C encoder writes compact text only; _json_text indents it.
-_COMPACT = json.JSONEncoder(separators=(",", ": "))
+# The C encoder writes compact text only; _json_text indents it.  Reports
+# hold no cycles, so it keeps no record of the containers it is inside.
+_COMPACT = json.JSONEncoder(separators=(",", ": "), check_circular=False)
 # bytes.translate table: 1 for a quote, bracket or comma, else 0
 _MARKED = bytes(int(b in b'"[]{},') for b in range(256))
 _STEP = np.zeros(256, dtype=np.int8)  # the nesting step of each byte
@@ -221,16 +230,63 @@ def _csv_text(rows) -> str:
     return out.getvalue()
 
 
+# Tasks a pool child may have queued or running: enough to keep it busy
+# while the parent computes one of the slowest primes (a p = 1 (mod 49)
+# near 10^7 in a modulus-14 scan costs about as much as 15 of its
+# neighbours), and the parent as many ahead while a child does.
+_QUEUED = 16
+# Tasks pending in all, finished or not, beyond those the children hold.
+_AHEAD = 16
+
+
+def _scan_here(task) -> Future:
+    """_scan_one of the task, run in this process, as a finished future:
+    an error it raises is raised where its result is read, in task order."""
+    done = Future()
+    try:
+        done.set_result(_scan_one(task))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
+
+
 def _scan_results(tasks: list, jobs: int):
-    """_scan_one of each task, in task order, from a pool when it pays."""
-    # fork starts every worker at the first submit: no more than there is
-    # work, and no more than there are CPUs this process may run on
+    """_scan_one of each task, in task order, from the parent and a pool.
+
+    No more processes compute than jobs, the tasks and the CPUs this
+    process may run on allow; the parent is one of them, so the pool has
+    one child fewer.  The children hold at most _QUEUED unfinished tasks
+    apiece, and never more apiece than the parent has left to run
+    itself, so near the end the parent takes the rest.  While the oldest
+    pending task is still in a child the parent runs the next one; at
+    most _AHEAD tasks more than the children hold are pending.
+    """
     workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
     if workers <= 1:
         yield from map(_scan_one, tasks)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_scan_one, tasks)
+    children = workers - 1
+    limit = _QUEUED * children + _AHEAD
+    pending = collections.deque()  # futures in task order; the parent's are finished
+    i = 0  # the next task not yet started
+    with ProcessPoolExecutor(max_workers=children) as pool:
+        try:
+            while pending or i < len(tasks):
+                queued = sum(not future.done() for future in pending)
+                while (i < len(tasks) and len(pending) < limit
+                       and queued < min(_QUEUED, len(tasks) - i - 1) * children):
+                    pending.append(pool.submit(_scan_one, tasks[i]))
+                    queued += 1
+                    i += 1
+                if pending and (pending[0].done() or i == len(tasks)
+                                or len(pending) >= limit):
+                    yield pending.popleft().result()
+                else:
+                    pending.append(_scan_here(tasks[i]))
+                    i += 1
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _scan_report(args) -> tuple[int, dict, bytearray]:

@@ -168,14 +168,24 @@ def coeffs_by_definition(dh7: DicksonHurwitzTable, n: int,
     return coefficient_sets(dh7, (n,), (s_value,))[0]
 
 
-def predicted_residue(coeffs: CoefficientSet) -> Residue8:
-    """-1 + sum c_i t^i in F_7[t]/(t^8); just -1 when 7 | n."""
-    if coeffs.n_prime == 0:
-        return MINUS_ONE_RESIDUE
-    if coeffs.c is None or coeffs.s_value is None:
+def predicted_rows(sets: list[CoefficientSet]) -> np.ndarray:
+    """-1 + sum c_i t^i in F_7[t]/(t^8) for every coefficient set, as int64 (rows, 8).
+
+    Coefficient i of row r is c_i of sets[r] mod 7 for i = 3..6 and S(n)
+    mod 7 for i = 7, after -1 = 6 at i = 0; a row is just -1 when 7 | n.
+    """
+    rows = np.tile(np.array(MINUS_ONE_RESIDUE.coeffs, dtype=np.int64), (len(sets), 1))
+    full = [r for r, cs in enumerate(sets) if cs.n_prime]
+    if any(sets[r].c is None or sets[r].s_value is None for r in full):
         raise InputError("coefficient set is missing c values or S(n)")
-    c3, c4, c5, c6 = (v % 7 for v in coeffs.c[2:6])
-    return Residue8((6, 0, 0, c3, c4, c5, c6, coeffs.s_value % 7))
+    tail = np.array([(*sets[r].c[2:], sets[r].s_value) for r in full], dtype=np.int64)
+    rows[full, 3:] = tail.reshape(-1, 5) % 7
+    return rows
+
+
+def predicted_residue(coeffs: CoefficientSet) -> Residue8:
+    """-1 + sum c_i t^i in F_7[t]/(t^8); just -1 when 7 | n: one row of predicted_rows."""
+    return Residue8(tuple(predicted_rows([coeffs])[0].tolist()))
 
 
 def _frac_mod7(x: Fraction) -> int | None:
@@ -211,31 +221,37 @@ class ClosedFormCoeffs:
 
 
 def coeffs_closed_form(sol: Sextuple, p: int) -> ClosedFormCoeffs:
-    """Evaluate the closed forms for c_{1,1}..c_{6,1} and c_{7,1} exactly."""
-    x1, x2, x3, x4, x5, x6 = (Fraction(v) for v in sol.as_tuple())
-    D = Fraction(6 * p - sol.x1 - 12, 2)
-    lin1 = (x4 + 3 * x3 + 5 * x2) / 2
+    """Evaluate the closed forms for c_{1,1}..c_{6,1} and c_{7,1} exactly.
+
+    Every expression is a rational combination of D = (6p - x1 - 12)/2
+    and x2..x6 whose denominators divide 84, so each is computed as its
+    integer numerator over 84, and only the results become Fractions.
+    The expressions as stated, D - (x4 + 3*x3 + 5*x2)/2 and so on, are
+    kept as a test reference (tests/oracles.py, closed_forms_stated).
+    """
+    _, x2, x3, x4, x5, x6 = sol.as_tuple()
+    d = 6 * p - sol.x1 - 12  # 2D
+    lin1 = x4 + 3 * x3 + 5 * x2  # 2 * lin1
     stated = (
-        D - lin1,
-        Fraction(5, 3) * D - 3 * lin1 + (28 * x5 + 42 * x6) / 6,
-        Fraction(5, 3) * D - 3 * (3 * x4 + 10 * x3 + 20 * x2) / 2
-        + (105 * x6 + 70 * x5) / 6,
-        D - (x4 - 5 * x3 - 15 * x2) / 2 + (35 * x6 + 21 * x5) / 2,
-        Fraction(2, 6) * D - (x3 + 6 * x2) / 2 + (105 * x6 + 49 * x5) / 12,
-        Fraction(2, 42) * D - (9 * x3 + 14 * x2) / 28 + (21 * x6 + 7 * x5) / 12,
+        42 * d - 42 * lin1,
+        70 * d - 126 * lin1 + 14 * (28 * x5 + 42 * x6),
+        70 * d - 126 * (3 * x4 + 10 * x3 + 20 * x2) + 14 * (105 * x6 + 70 * x5),
+        42 * d - 42 * (x4 - 5 * x3 - 15 * x2) + 42 * (35 * x6 + 21 * x5),
+        14 * d - 42 * (x3 + 6 * x2) + 7 * (105 * x6 + 49 * x5),
+        2 * d - 3 * (9 * x3 + 14 * x2) + 7 * (21 * x6 + 7 * x5),
     )
     repaired = (
         stated[0],
         stated[1],
-        Fraction(5, 3) * D - (3 * x4 + 10 * x3 + 20 * x2) / 2
-        + (105 * x6 + 70 * x5) / 6,
-        D - (x4 + 5 * x3 + 15 * x2) / 2 + (35 * x6 + 21 * x5) / 2,
+        70 * d - 42 * (3 * x4 + 10 * x3 + 20 * x2) + 14 * (105 * x6 + 70 * x5),
+        42 * d - 42 * (x4 + 5 * x3 + 15 * x2) + 42 * (35 * x6 + 21 * x5),
         stated[4],
-        Fraction(2, 42) * D - 14 * x2 / 28 + (21 * x6 + 7 * x5) / 12,
+        2 * d - 42 * x2 + 7 * (21 * x6 + 7 * x5),
     )
-    c7_stated = (-Fraction(2, 14) * D + Fraction(2, 14) * (3 * x3 + 5 * x2) / 2
-                 + (7 * x5 - 5 * x4) / 28)
-    return ClosedFormCoeffs(stated=stated, repaired=repaired, c7_stated=c7_stated)
+    c7_stated = -6 * d + 6 * (3 * x3 + 5 * x2) + 3 * (7 * x5 - 5 * x4)
+    return ClosedFormCoeffs(stated=tuple(Fraction(v, 84) for v in stated),
+                            repaired=tuple(Fraction(v, 84) for v in repaired),
+                            c7_stated=Fraction(c7_stated, 84))
 
 
 def c7_closed_form_fitted(sol: Sextuple, p: int, u_signed: int) -> int | None:

@@ -164,7 +164,7 @@ class Residue8:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != 8 or any(not 0 <= v <= 6 for v in self.coeffs):
+        if len(self.coeffs) != 8 or min(self.coeffs) < 0 or max(self.coeffs) > 6:
             raise InputError("Residue8 needs eight coefficients in [0, 6]")
 
     def __add__(self, other: "Residue8") -> "Residue8":

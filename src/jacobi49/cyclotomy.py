@@ -42,7 +42,7 @@ identity J(chi^0, chi^0) = p - 2 come out.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -76,6 +76,27 @@ class DicksonHurwitzTable:
         return int(self.B[i % self.e, j % self.e])
 
 
+@cache
+def _image_grid(e: int) -> tuple[np.ndarray, ...]:
+    """The read-only (e, e) grids jacobi_images reads: i, j, (2e - i - j) mod e,
+    and where i + j is above e and where it equals e."""
+    i, j = np.indices((e, e))
+    s = i + j - e
+    grid = (i, j, -s % e, s > 0, s == 0)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
+@cache
+def _fourier_exponents(e: int) -> np.ndarray:
+    """a * i mod e for a, i = 0..e-1, read-only: the exponents of the Fourier matrix."""
+    k = np.arange(e)
+    exponents = np.multiply.outer(k, k) % e
+    exponents.flags.writeable = False
+    return exponents
+
+
 def jacobi_images(ctx: FieldContext, e: int) -> np.ndarray:
     """The images of J(i,j)_e, i, j = 0..e-1, in F_p under zeta -> gamma^f; e | ctx.m.
 
@@ -92,11 +113,10 @@ def jacobi_images(ctx: FieldContext, e: int) -> np.ndarray:
     p = ctx.p
     ctx.cofactor(e)
     fact = ctx.factorials[:: ctx.m // e]  # (k f)!, k = 0..e-1
-    i, j = np.indices((e, e))
-    s = i + j - e
-    product = fact[i] * fact[j] % p * fact[-s % e] % p
-    images = np.where(s > 0, p - product, 0)
-    images[s == 0] = p - 1
+    i, j, k, above, on = _image_grid(e)
+    product = fact[i] * fact[j] % p * fact[k] % p
+    images = np.where(above, p - product, 0)
+    images[on] = p - 1
     images[0, :] = images[:, 0] = p - 1
     images[0, 0] = p - 2
     return images
@@ -120,8 +140,7 @@ def counts_from_factorials(ctx: FieldContext, e: int) -> np.ndarray:
     powers = [1]
     for _ in range(e - 1):
         powers.append(powers[-1] * w_inv % p)
-    k = np.arange(e)
-    W = np.array(powers, dtype=np.float64)[np.multiply.outer(k, k) % e]
+    W = np.array(powers, dtype=np.float64)[_fourier_exponents(e)]
     counts = (W @ jacobi_images(ctx, e).astype(np.float64)).astype(np.int64) % p
     counts = (counts.astype(np.float64) @ W.T).astype(np.int64) % p
     return counts * pow(e * e, -1, p) % p
@@ -170,26 +189,44 @@ def _windows(x: np.ndarray) -> np.ndarray:
     return view
 
 
+@lru_cache(maxsize=64)
+def _shear_cells(e: int, ns: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the two gathers of _shear_sums, read-only.
+
+    With m = e/7 and cs the distinct n mod m of ns, the first indexes the
+    table as first[a, i, b, k] = cell (a + 7b, (k - 7 cs[i] b) mod e), the
+    second indexes the (7, len(cs), e) stage-one sums as second[a, r, k] =
+    cell (a, i, (k - ns[r] a) mod e) with cs[i] = ns[r] mod m.
+    """
+    m = e // 7
+    ns = np.array(ns, dtype=np.int64)[:, None]
+    cs, at = np.unique(ns % m, return_inverse=True)
+    a = np.arange(7)[:, None, None]
+    b = np.arange(m)[:, None]
+    k = np.arange(e)
+    first = (a[..., None] + 7 * b) * e + (k - 7 * cs[:, None, None] * b) % e
+    second = (a * len(cs) + at.reshape(-1, 1)) * e + (k - ns * a) % e
+    # every index is below e^2 (7 len(cs) e <= 7 m e = e^2): uint16 keeps the cache small
+    first, second = first.astype(np.uint16), second.astype(np.uint16)
+    for cells in (first, second):
+        cells.flags.writeable = False
+    return first, second
+
+
 def _shear_sums(table: np.ndarray, ns) -> np.ndarray:
     """out[r, k] = sum_h table[h, (k - ns[r] h) mod e] for an (e, e) table, e in {7, 49}.
 
     Read row h of the table as a polynomial in zeta: row r of the result
     is the sum of the rows, row h multiplied by zeta^(ns[r] h).  With
     h = a + 7b, a < 7 and b < m = e/7, n h = n a + 7 (n mod m) b (mod e).
-    So the rows sharing a are first summed once for each n mod m, then
-    those seven sums once for each n: 7 e (m^2 + len(ns)) cells gathered,
-    against e^2 len(ns) row by row.  Each stage gathers whole windows of
-    its input; the largest temporary has 7 e^2 cells at len(ns) = e.
+    So the rows sharing a are first summed once for each n mod m in ns,
+    then those sums once for each n: at most 7 e (m^2 + len(ns)) cells
+    gathered, against e^2 len(ns) row by row.  Each stage is one gather
+    through the cached indices of _shear_cells and one sum.
     """
-    e = table.shape[0]
-    m = e // 7
-    ns = np.asarray(ns, dtype=np.int64)
-    a, b = np.arange(7), np.arange(m)
-    # part[a, c, k] = sum_b table[a + 7b, (k - 7cb) mod e], for c = n mod m = 0..m-1
-    part = _windows(table.reshape(m, 7, e))[b, a[:, None, None], -7 * np.outer(b, b) % e]
-    part = part.sum(axis=2)
-    # out[r, k] = sum_a part[a, ns[r] mod m, (k - ns[r] a) mod e]
-    return _windows(part)[a, (ns % m)[:, None], -ns[:, None] * a % e].sum(axis=1)
+    first, second = _shear_cells(table.shape[0], tuple(int(n) for n in ns))
+    part = table.take(first).sum(axis=2)
+    return part.take(second).sum(axis=0)
 
 
 def jacobi_rows(cyc: CycNumberTable, a: int, bs) -> np.ndarray:
@@ -295,7 +332,9 @@ def identity_suite(cyc: CycNumberTable) -> list[str]:
     J(0,j) = J(i,0) = J(i,-i) = -1 everywhere, and |J|^2 = p at the pairs
     (d, d*m), m = 1..e/d - 2, gives it at every pair with i, j and i + j
     nonzero: a pair whose first index is not a unit swaps to one whose is,
-    or is a unit multiple of some (d, d*m).
+    or is a unit multiple of some (d, d*m).  All those products J
+    sigma_-1(J) are one einsum of the rows with a strided view of their
+    cyclic shifts (_windows), which copies each row twice, not e times.
 
     With f even, chi^i(-1) = 1, so the identities hold for J itself.  The
     suite makes no pass over F_p; the direct pair count that checks the
@@ -317,11 +356,11 @@ def identity_suite(cyc: CycNumberTable) -> list[str]:
     reps = [(d, d * m) for d in divisors for m in range(1, e // d - 1)]
     x = np.concatenate([jacobi_rows(cyc, d, [j for i, j in reps if i == d])
                         for d in divisors])
-    # Coefficient k of J * sigma_-1(J) is sum_a x_a x_(a-k).  From p - 2
-    # counts the canonical coefficients have absolute sum at most 2p, so
-    # int64 is exact for p below 10^9.
-    k = np.arange(e)
-    norms = np.einsum("ra,rka->rk", x, x[:, (k[None, :] - k[:, None]) % e])
+    # Coefficient k of J * sigma_-1(J) is sum_a x_a x_(a-k), and x_(a-k) is
+    # entry a of window e - k of the row: the windows read in reverse.
+    # From p - 2 counts the canonical coefficients have absolute sum at
+    # most 2p, so int64 is exact for p below 10^9.
+    norms = np.einsum("ra,rka->rk", x, _windows(x)[:, e:0:-1])
     norms = canonical_rows(e, norms)
     norms[:, 0] -= p
     for (i, j), wrong in zip(reps, norms.any(axis=1)):

@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from . import artiad as artiad_mod
 from .congruence import (adjudicate_closed_forms, c7_closed_form_fitted,
-                         coefficient_sets, coeffs_closed_form, predicted_residue,
+                         coefficient_sets, coeffs_closed_form, predicted_rows,
                          s_direct_all, s_lemma_all)
 from .cyclotomic_ring import Residue8, image_rows
 from .cyclotomy import (CycNumberTable, DicksonHurwitzTable, cyclotomic_numbers,
@@ -151,9 +151,10 @@ def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> list[Cer
             direct[np.equal(rows, 1)] = jacobi_rows(counted, 1, (1,))
             suite_ok = not identity_suite(cyc49)
         images = image_rows(direct)
+        predicted_images = predicted_rows(coeffs)
         actual = [Residue8(tuple(image)) for image in images.tolist()]
-        predicted = [predicted_residue(cs) for cs in coeffs]
-        match = [a == b for a, b in zip(predicted, actual)]
+        predicted = [Residue8(tuple(image)) for image in predicted_images.tolist()]
+        match = (predicted_images == images).all(axis=1).tolist()
         # the weak classical congruence J = -1 mod (1 - zeta)^3
         weak = (images[:, :3] == (6, 0, 0)).all(axis=1).tolist()
         # Dickson-Hurwitz, Fourier and direct; direct is the Fourier row
@@ -186,6 +187,8 @@ def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> list[Cer
             closed_flags = (f"closed-form rows {list(adj.unexplained_rows)} fail beyond "
                             f"the known transcription defects",)
 
+    recon_json, dio_json = recon.to_json(), bundle.dio.to_json()
+
     def certificate(i: int) -> Certificate:
         n = rows[i]
         flags = []
@@ -208,8 +211,8 @@ def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> list[Cer
                     "s_paths": {"direct": s_values[i], "lemma": s_lemmas[i],
                                 "agree_mod7": s_agree[i]}},
             lw=sol, tu=bundle.tu, classification=classification,
-            cross_checks={"table_reconstruction": recon.to_json(),
-                          "diophantine": bundle.dio.to_json(),
+            cross_checks={"table_reconstruction": recon_json,
+                          "diophantine": dio_json,
                           "identity_suite_ok": suite_ok,
                           "weak_congruence_ok": weak[i],
                           "three_path_agree": three_path[i]},

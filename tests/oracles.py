@@ -1,15 +1,18 @@
 """Reference formulas that only the tests compare against."""
 
 import math
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
+from jacobi49.congruence import ClosedFormCoeffs
 from jacobi49.cyclotomic_ring import CyclotomicInt, Residue8
 from jacobi49.cyclotomy import CycNumberTable
 from jacobi49.errors import DomainError, InputError, InvariantViolation
 from jacobi49.order7 import Sextuple, TUPair
-from jacobi49.prime_field import FieldContext, _prime_factors
+from jacobi49.prime_field import (FieldContext, _prime_factors, find_generator,
+                                  is_primitive_root)
 
 
 def residue8(*coeffs: int) -> Residue8:
@@ -110,6 +113,11 @@ def _dlog_prime_order(g: int, h: int, q: int, p: int) -> int:
             return i * s + j
         y = y * giant % p
     raise InvariantViolation(f"{h} is not a power of {g} modulo {p}")
+
+
+def second_generator(p: int) -> int:
+    """The second smallest primitive root modulo the odd prime p."""
+    return next(g for g in range(find_generator(p) + 1, p) if is_primitive_root(g, p))
 
 
 def index_of(ctx: FieldContext, a: int) -> int:
@@ -224,3 +232,35 @@ def trivial_solutions(tu: TUPair) -> list[Sextuple]:
 # instead; that reading breaks the table total and is kept only so the
 # adjudication can be re-run (test_order7).
 CYC7_ROW_01_X4_VARIANT = (-72, 12, 24, 168, -6, 84, -42, 147, 0, 147)
+
+
+def closed_forms_stated(sol: Sextuple, p: int) -> ClosedFormCoeffs:
+    """The closed forms for c_{1,1}..c_{6,1} and c_{7,1} as stated, in Fraction arithmetic.
+
+    The reference for congruence.coeffs_closed_form, which computes the
+    same values as integer numerators over 84.
+    """
+    x1, x2, x3, x4, x5, x6 = (Fraction(v) for v in sol.as_tuple())
+    D = Fraction(6 * p - sol.x1 - 12, 2)
+    lin1 = (x4 + 3 * x3 + 5 * x2) / 2
+    stated = (
+        D - lin1,
+        Fraction(5, 3) * D - 3 * lin1 + (28 * x5 + 42 * x6) / 6,
+        Fraction(5, 3) * D - 3 * (3 * x4 + 10 * x3 + 20 * x2) / 2
+        + (105 * x6 + 70 * x5) / 6,
+        D - (x4 - 5 * x3 - 15 * x2) / 2 + (35 * x6 + 21 * x5) / 2,
+        Fraction(2, 6) * D - (x3 + 6 * x2) / 2 + (105 * x6 + 49 * x5) / 12,
+        Fraction(2, 42) * D - (9 * x3 + 14 * x2) / 28 + (21 * x6 + 7 * x5) / 12,
+    )
+    repaired = (
+        stated[0],
+        stated[1],
+        Fraction(5, 3) * D - (3 * x4 + 10 * x3 + 20 * x2) / 2
+        + (105 * x6 + 70 * x5) / 6,
+        D - (x4 + 5 * x3 + 15 * x2) / 2 + (35 * x6 + 21 * x5) / 2,
+        stated[4],
+        Fraction(2, 42) * D - 14 * x2 / 28 + (21 * x6 + 7 * x5) / 12,
+    )
+    c7_stated = (-Fraction(2, 14) * D + Fraction(2, 14) * (3 * x3 + 5 * x2) / 2
+                 + (7 * x5 - 5 * x4) / 28)
+    return ClosedFormCoeffs(stated=stated, repaired=repaired, c7_stated=c7_stated)

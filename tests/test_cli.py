@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -39,6 +40,10 @@ def test_primes_in_range_sieve_oracle():
     got = primes_in_range(2, 2000, 49)
     want = [p for p in range(2, 2001) if is_prime(p) and p % 49 == 1]
     assert got == want == [197, 491, 883, 1373, 1471, 1667]
+    for lo, hi in [(0, 3000), (197, 1667), (198, 1666), (29, 29), (30, 42), (1, 1), (5, 4)]:
+        for modulus in (14, 49):
+            want = [p for p in range(lo, hi + 1) if is_prime(p) and p % modulus == 1]
+            assert primes_in_range(lo, hi, modulus) == want, (lo, hi, modulus)
 
 
 def test_verify_ok(capsys):
@@ -198,27 +203,32 @@ def _reference_scan(lo, hi, modulus, all_n, fmt) -> str:
     return out.getvalue()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("case", ["n1", "all-n", "fault"])
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+@pytest.mark.parametrize("case", ["n1", "all-n", "fault", "long"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_scan_matches_the_whole_report_encoding(tmp_path, capsys, monkeypatch, fmt, case, jobs):
-    # the fault puts discrepancy texts in every record, through the pool too
-    all_n = case != "n1"
+    # the fault puts discrepancy texts in every record, through the pool too;
+    # the long range has many times more primes than the scan keeps in flight
+    all_n = case in ("all-n", "fault")
     if case == "fault":
         _disagreeing_cubic_criterion(monkeypatch)
+    lo, hi = (2, 6000) if case == "long" else (14000, 15000)
     out_file = tmp_path / f"r.{fmt}"
-    argv = ["scan", "--min", "14000", "--max", "15000", "--modulus", "14",
+    argv = ["scan", "--min", str(lo), "--max", str(hi), "--modulus", "14",
             "--format", fmt, "--jobs", jobs, "--output", str(out_file)]
     code = run_cli(capsys, *argv, *(["--all-n"] if all_n else []))[0]
     assert code == (1 if case == "fault" else 0)
     cut = lambda s: re.sub(r'\n *"runtime_seconds": [^\n]*', "", s)
     with open(out_file, newline="") as fh:
         got = fh.read()
-    want = _reference_scan(14000, 15000, 14, all_n, fmt)
+    want = _reference_scan(lo, hi, 14, all_n, fmt)
     assert cut(got) == cut(want)
     if fmt == "json":
         report = json.loads(got)
-        assert len(report["certificates"]) == 17 + 2 * (48 if all_n else 1)
+        primes = primes_in_range(lo, hi, 14)
+        verified = sum((p - 1) % 49 == 0 for p in primes)
+        assert len(report["certificates"]) == len(primes) + verified * (48 if all_n else 1)
+        assert case != "long" or (len(primes), verified) == (126, 16)
         flags = report["summary"]["discrepancy_flags"]
         assert len(flags) == (17 + 2 * 48 if case == "fault" else 0)
 
@@ -313,12 +323,27 @@ def test_unwritable_stdout_exit_code_of_the_process():
     assert proc.stderr == "error: cannot write report: [Errno 28] No space left on device\n"
 
 
-def _inline_pool(monkeypatch, cpus: int) -> list[int]:
-    """A stub pool that records its size and maps inline: no process starts.
+def _inline_pool(monkeypatch, cpus: int, lazy: bool = False,
+                 log: list | None = None) -> list[int]:
+    """A stub pool that records its size and runs its tasks inline: no process starts.
 
-    The process may run on cpus CPUs, whatever the machine has.
+    A task runs when it is submitted, or with lazy when its result is
+    first asked for: a lazy future is never done before that, so the
+    parent runs every task it may.  Each submission goes into log as
+    ("submit", task).  The process may run on cpus CPUs, whatever the
+    machine has.
     """
     sizes = []
+
+    class LazyFuture(Future):
+        def __init__(self, fn, item):
+            super().__init__()
+            self.run = lambda: self.set_result(fn(item))
+
+        def result(self, timeout=None):
+            if not self.done():
+                self.run()
+            return super().result(timeout)
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -330,8 +355,13 @@ def _inline_pool(monkeypatch, cpus: int) -> list[int]:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, item):
+            if log is not None:
+                log.append(("submit", item))
+            future = LazyFuture(fn, item)
+            if not lazy:
+                future.run()
+            return future
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -339,11 +369,12 @@ def _inline_pool(monkeypatch, cpus: int) -> list[int]:
 
 
 def test_scan_pool_sized_to_the_work(tmp_path, capsys, monkeypatch):
+    # the parent computes too: the pool has one child fewer than the jobs
     sizes = _inline_pool(monkeypatch, cpus=64)
     code, _, _ = run_cli(capsys, "scan", "--min", "190", "--max", "500", "--modulus", "49",
                          "--output", str(tmp_path / "r.json"), "--jobs", "64")
     assert code == 0
-    assert sizes == [2]  # 197 and 491
+    assert sizes == [1]  # 197 and 491: the parent and one child
 
 
 def test_scan_pool_sized_to_the_cpus(tmp_path, capsys, monkeypatch):
@@ -352,7 +383,43 @@ def test_scan_pool_sized_to_the_cpus(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "scan", "--min", "2", "--max", "1000", "--modulus", "14",
                          "--output", str(tmp_path / "r.json"), "--jobs", "5000")
     assert code == 0
-    assert sizes == [3]
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_scan_window_bounds_what_is_pending(monkeypatch, jobs):
+    # Children whose tasks finish only when the parent waits for them: the
+    # parent runs every task it may, and the window alone bounds the rest.
+    events = []
+    monkeypatch.setattr(cli, "_scan_one", lambda task: events.append(("run", task)) or task)
+    sizes = _inline_pool(monkeypatch, cpus=3, lazy=True, log=events)
+    tasks = list(range(40))
+    got = []
+    for result in cli._scan_results(tasks, jobs):
+        got.append(result)
+        events.append(("yield", result))
+    assert got == tasks
+    children = jobs - 1
+    assert sizes == [children]
+    in_child = {task for kind, task in events if kind == "submit"}
+    by_parent = {task for kind, task in events if kind == "run"} - in_child
+    assert by_parent and in_child | by_parent == set(tasks)
+    assert tasks[-1] in by_parent  # a child is never given the parent's last task
+    # At every step at most _QUEUED tasks per child are in flight, from their
+    # submission to their yield, and at most _AHEAD more are pending.
+    in_flight = held = 0
+    for kind, task in events:
+        if kind == "submit":
+            in_flight += 1
+        elif kind == "run" and task in by_parent:
+            held += 1
+        elif kind == "yield" and task in in_child:
+            in_flight -= 1
+        elif kind == "yield":
+            held -= 1
+        assert in_flight <= cli._QUEUED * children, events
+        assert in_flight + held <= cli._QUEUED * children + cli._AHEAD, events
+    assert in_flight == held == 0
 
 
 def test_scan_modulus_14_classifies(tmp_path, capsys):
@@ -404,6 +471,18 @@ def test_scan_unwritable_output(capsys, kernel_calls):
 
 def _failing_scan_one(task):
     raise InputError(f"injected failure at p = {task[0]}")
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_failing_scan_reports_the_first_failure_in_p_order(tmp_path, capsys, monkeypatch, jobs):
+    # the parent runs some primes itself: its own failures wait their turn too
+    out_file = tmp_path / "r.json"
+    monkeypatch.setattr(cli, "_scan_one", _failing_scan_one)
+    code, _, err = run_cli(capsys, "scan", "--min", "2", "--max", "5000", "--modulus", "49",
+                           "--jobs", jobs, "--output", str(out_file))
+    assert code == 2
+    assert err == "error: injected failure at p = 197\n"
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -2,20 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobi49 import congruence, cyclotomic_ring, cyclotomy, verify
 from jacobi49.cli import main, primes_in_range
-from jacobi49.congruence import (SIX_CLASS_REPS, adjudicate_closed_forms,
-                                 c7_closed_form_fitted, coefficient_sets,
-                                 coeffs_by_definition, coeffs_closed_form, lambda_pair,
-                                 lambda_single, predicted_residue, s_direct,
-                                 s_direct_all, s_lemma, s_lemma_all)
-from jacobi49.cyclotomic_ring import CyclotomicInt, image_rows, residue_mod_t8
-from jacobi49.cyclotomy import (DicksonHurwitzTable, dickson_hurwitz, identity_suite,
-                                jacobi_from_cyc, jacobi_rows, jacobi_sum, six_class)
+from jacobi49.congruence import (MINUS_ONE_RESIDUE, SIX_CLASS_REPS,
+                                 adjudicate_closed_forms, c7_closed_form_fitted,
+                                 coefficient_sets, coeffs_by_definition, coeffs_closed_form,
+                                 lambda_pair, lambda_single, predicted_residue,
+                                 predicted_rows, s_direct, s_direct_all, s_lemma,
+                                 s_lemma_all)
+from jacobi49.cyclotomic_ring import CyclotomicInt, Residue8, image_rows, residue_mod_t8
+from jacobi49.cyclotomy import (DicksonHurwitzTable, cyclotomic_numbers, dickson_hurwitz,
+                                identity_suite, jacobi_from_cyc, jacobi_rows, jacobi_sum,
+                                six_class)
 from jacobi49.errors import InputError, InvariantViolation
+from jacobi49.order7 import Sextuple, solution_from_tables
+from jacobi49.prime_field import build_ctx, find_generator
 from jacobi49.verify import classify_prime, verify_prime
-from oracles import residue8
+from oracles import closed_forms_stated, residue8, second_generator
 
 P49_SMALL = primes_in_range(2, 5000, 49)
 
@@ -92,6 +98,25 @@ def test_predicted_residue_shapes():
         predicted_residue(CoefficientSet(n=1, n_prime=1, c=None, s_value=None))
 
 
+@pytest.mark.parametrize("p", [197, 491, 60271])
+def test_predicted_rows(bundle, p):
+    b = bundle(p)
+    ns = list(range(-3, 60))
+    s_values = [int(s_direct_all(b.dh49)[n % 49]) for n in ns]
+    sets = coefficient_sets(b.dh7, ns, s_values)
+    rows = predicted_rows(sets)
+    assert rows.dtype == np.int64 and rows.shape == (len(ns), 8)
+    for n, cs, row in zip(ns, sets, rows.tolist()):
+        assert Residue8(tuple(row)) == predicted_residue(cs), n
+        if n % 7 == 0:
+            assert Residue8(tuple(row)) == MINUS_ONE_RESIDUE, n
+        else:
+            assert row == [6, 0, 0, *(v % 7 for v in cs.c[2:]), cs.s_value % 7], n
+    assert predicted_rows([]).shape == (0, 8)
+    with pytest.raises(InputError):
+        predicted_rows(sets[:3] + coefficient_sets(b.dh7, [1], [None]))
+
+
 def test_c1_c2_always_vanish_mod7(bundle):
     # the weak congruence mod (1-zeta)^3 forces these for every prime
     for p in P49_SMALL:
@@ -112,6 +137,26 @@ def test_closed_form_adjudication_p197(bundle):
     assert adj.unexplained_rows == ()
     assert not adj.c7_stated_integral
     assert adj.c7_fitted_match is True
+
+
+def test_closed_forms_match_the_stated_expressions():
+    # the numerators over 84 against the expressions as stated, in Fractions
+    cases = [(p, gamma) for p in primes_in_range(2, 20000, 14)
+             for gamma in (find_generator(p), second_generator(p))]
+    cases += [(p, None) for p in (60271, 1000679, 9999823)]
+    for p, gamma in cases:
+        sol = solution_from_tables(dickson_hurwitz(cyclotomic_numbers(build_ctx(p, gamma), 7)))
+        got, want = coeffs_closed_form(sol, p), closed_forms_stated(sol, p)
+        assert got == want, (p, gamma)
+        assert got.to_json() == want.to_json(), (p, gamma)
+
+
+@given(st.lists(st.integers(-10**9, 10**9), min_size=6, max_size=6), st.integers(0, 10**8))
+@settings(max_examples=200, deadline=None)
+def test_closed_forms_match_the_stated_expressions_anywhere(xs, p):
+    # the rewriting is algebra: it holds for any integers, not only sextuples
+    sol = Sextuple(*xs)
+    assert coeffs_closed_form(sol, p).to_json() == closed_forms_stated(sol, p).to_json()
 
 
 def test_divisibility_anchor(bundle):

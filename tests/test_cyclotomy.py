@@ -17,9 +17,9 @@ from jacobi49.cyclotomy import (CycNumberTable, check_symmetries, cyclotomic_num
                                 jacobi_via_dh, six_class, identity_suite)
 from jacobi49.errors import InputError, InvariantViolation
 from jacobi49.prime_field import (MAX_PRIME, build_ctx, find_generator, index_mod,
-                                  is_primitive_root, is_seventh_power_residue)
+                                  is_seventh_power_residue)
 from oracles import (apply_automorphism, block_factorials, cyc_from_jacobi,
-                     pair_counts_full_field)
+                     pair_counts_full_field, second_generator)
 
 
 def jacobi_six_class(e: int, i: int, j: int) -> set[tuple[int, int]]:
@@ -355,10 +355,6 @@ def test_convention_relation(bundle):
 
 # The tables built from factorials mod p against the class-pair counts.
 
-def _second_generator(p):
-    return next(g for g in range(find_generator(p) + 1, p) if is_primitive_root(g, p))
-
-
 @pytest.mark.parametrize("p", [29, 43, 197, 491, 883, 1373])
 def test_block_factorials_against_math_factorial(p):
     # the every-integer oracle of _kernels.factorials
@@ -498,7 +494,7 @@ def _assert_pair_counts_match_the_full_field(ctx):
 def test_pair_counts_match_the_full_field_oracle():
     # pair_counts counts v = 1..h-1 and mirrors them; the oracle counts every v
     for p in primes_in_range(2, 3000, 14):
-        for gamma in (find_generator(p), _second_generator(p)):
+        for gamma in (find_generator(p), second_generator(p)):
             _assert_pair_counts_match_the_full_field(build_ctx(p, gamma))
     for p in (3, 5, 7):  # m = 1; at p = 3 only the fixed point v = h is counted
         _assert_pair_counts_match_the_full_field(build_ctx(p))
@@ -522,7 +518,7 @@ def test_pair_counts_read_no_cell_above_half():
 
 def test_table_free_residue_tests_match_the_class_table():
     for p in primes_in_range(2, 3000, 14):
-        for gamma in (find_generator(p), _second_generator(p)):
+        for gamma in (find_generator(p), second_generator(p)):
             ctx = build_ctx(p, gamma)
             classes = ctx.classes
             assert index_mod(ctx, 7, 7) == classes[7] % 7
