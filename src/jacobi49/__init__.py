@@ -8,7 +8,7 @@ paths, and classifies primes as ordinary, artiad or hyperartiad.
 
 from .artiad import Classification, classify_from_parts
 from .congruence import (CoefficientSet, coeffs_by_definition, coeffs_closed_form,
-                         predicted_residue, s_direct, s_lemma)
+                         s_direct, s_lemma)
 from .cyclotomic_ring import CyclotomicInt, Residue8, residue_mod_t8, valuation
 from .cyclotomy import (CycNumberTable, DicksonHurwitzTable, cyclotomic_numbers,
                         dickson_hurwitz, jacobi_from_cyc, jacobi_sum,
@@ -30,7 +30,7 @@ __all__ = [
     "coeffs_by_definition", "coeffs_closed_form", "cyc7_from_solution",
     "cyclotomic_numbers", "dickson_hurwitz", "find_generator", "is_prime",
     "is_seventh_power_residue", "jacobi_from_cyc", "jacobi_sum",
-    "jacobi_sum_variant", "jacobi_via_dh", "predicted_residue", "prepare_prime",
+    "jacobi_sum_variant", "jacobi_via_dh", "prepare_prime",
     "residue_mod_t8", "s_direct", "s_lemma", "solution_from_tables",
     "tu_decompose", "valuation", "verify_diophantine", "verify_prime",
     "__version__",

@@ -14,11 +14,11 @@ Reports are deterministic for a fixed configuration independent of the
 worker count; the only field that varies between runs is runtime_seconds.
 Every JSON byte the CLI writes comes from one writer, _json_text: the C
 encoder's compact text, indented by one numpy pass to the bytes of
-json.dumps(obj, indent=2).  A scan runs in at most --jobs processes, and
-the parent is one of them: it gives each pool process at most _QUEUED
-primes at a time and computes the next prime itself while the oldest one
-pending is unfinished (_scan_results), so the primes pending at once do
-not grow in number with the range.  Each
+json.dumps(obj, indent=2).  A scan computes in at most --jobs processes:
+with more than one, a pool of them computes and the parent only submits
+primes and gathers results, with at most _WINDOW primes per pool process
+pending (_scan_results), so the primes pending at once do not grow in
+number with the range.  Each
 prime's records are encoded by the process that computes them, all in
 one call; the parent gathers the encoded text in p order into one buffer
 and writes it between the report's header and its runtime, with the
@@ -41,7 +41,7 @@ import os
 import stat
 import sys
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -230,60 +230,33 @@ def _csv_text(rows) -> str:
     return out.getvalue()
 
 
-# Tasks a pool child may have queued or running: enough to keep it busy
-# while the parent computes one of the slowest primes (a p = 1 (mod 49)
-# near 10^7 in a modulus-14 scan costs about as much as 15 of its
-# neighbours), and the parent as many ahead while a child does.
-_QUEUED = 16
-# Tasks pending in all, finished or not, beyond those the children hold.
-_AHEAD = 16
-
-
-def _scan_here(task) -> Future:
-    """_scan_one of the task, run in this process, as a finished future:
-    an error it raises is raised where its result is read, in task order."""
-    done = Future()
-    try:
-        done.set_result(_scan_one(task))
-    except Exception as exc:
-        done.set_exception(exc)
-    return done
+# Tasks pending per pool process.  A p = 1 (mod 49) near 10^7 in a
+# modulus-14 scan costs about 15 of its neighbours: while one is the
+# oldest pending, the other processes still have work queued.
+_WINDOW = 32
 
 
 def _scan_results(tasks: list, jobs: int):
-    """_scan_one of each task, in task order, from the parent and a pool.
+    """_scan_one of each task, in task order.
 
-    No more processes compute than jobs, the tasks and the CPUs this
-    process may run on allow; the parent is one of them, so the pool has
-    one child fewer.  The children hold at most _QUEUED unfinished tasks
-    apiece, and never more apiece than the parent has left to run
-    itself, so near the end the parent takes the rest.  While the oldest
-    pending task is still in a child the parent runs the next one; at
-    most _AHEAD tasks more than the children hold are pending.
+    At most jobs processes compute, and no more than there are tasks or
+    CPUs this process may run on.  With more than one, this process only
+    submits to a pool of them and gathers, with at most _WINDOW pending
+    tasks per pool process; a free pool process takes the next queued one.
     """
     workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
     if workers <= 1:
         yield from map(_scan_one, tasks)
         return
-    children = workers - 1
-    limit = _QUEUED * children + _AHEAD
-    pending = collections.deque()  # futures in task order; the parent's are finished
-    i = 0  # the next task not yet started
-    with ProcessPoolExecutor(max_workers=children) as pool:
+    pending = collections.deque()  # futures, in task order
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
-            while pending or i < len(tasks):
-                queued = sum(not future.done() for future in pending)
-                while (i < len(tasks) and len(pending) < limit
-                       and queued < min(_QUEUED, len(tasks) - i - 1) * children):
-                    pending.append(pool.submit(_scan_one, tasks[i]))
-                    queued += 1
-                    i += 1
-                if pending and (pending[0].done() or i == len(tasks)
-                                or len(pending) >= limit):
+            for task in tasks:
+                if len(pending) == _WINDOW * workers:
                     yield pending.popleft().result()
-                else:
-                    pending.append(_scan_here(tasks[i]))
-                    i += 1
+                pending.append(pool.submit(_scan_one, task))
+            while pending:
+                yield pending.popleft().result()
         finally:
             for future in pending:
                 future.cancel()

@@ -183,11 +183,6 @@ def predicted_rows(sets: list[CoefficientSet]) -> np.ndarray:
     return rows
 
 
-def predicted_residue(coeffs: CoefficientSet) -> Residue8:
-    """-1 + sum c_i t^i in F_7[t]/(t^8); just -1 when 7 | n: one row of predicted_rows."""
-    return Residue8(tuple(predicted_rows([coeffs])[0].tolist()))
-
-
 def _frac_mod7(x: Fraction) -> int | None:
     """x mod 7 for a rational with denominator coprime to 7, else None."""
     if x.denominator % 7 == 0:

@@ -6,7 +6,7 @@ from math import isqrt
 
 import numpy as np
 
-from jacobi49.congruence import ClosedFormCoeffs
+from jacobi49.congruence import ClosedFormCoeffs, CoefficientSet, predicted_rows
 from jacobi49.cyclotomic_ring import CyclotomicInt, Residue8
 from jacobi49.cyclotomy import CycNumberTable
 from jacobi49.errors import DomainError, InputError, InvariantViolation
@@ -18,6 +18,11 @@ from jacobi49.prime_field import (FieldContext, _prime_factors, find_generator,
 def residue8(*coeffs: int) -> Residue8:
     """The residue with the given coefficients of 1, t, ..., t^7, each reduced mod 7."""
     return Residue8(tuple(v % 7 for v in coeffs))
+
+
+def predicted_residue(coeffs: CoefficientSet) -> Residue8:
+    """-1 + sum c_i t^i in F_7[t]/(t^8); just -1 when 7 | n: one row of predicted_rows."""
+    return Residue8(tuple(predicted_rows([coeffs])[0].tolist()))
 
 
 def ind7_muskat(cyc7: CycNumberTable, p: int) -> int:

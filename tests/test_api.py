@@ -10,7 +10,7 @@ API = [
     "classify_prime", "coeffs_by_definition", "coeffs_closed_form",
     "cyc7_from_solution", "cyclotomic_numbers", "dickson_hurwitz", "find_generator",
     "is_prime", "is_seventh_power_residue", "jacobi_from_cyc", "jacobi_sum",
-    "jacobi_sum_variant", "jacobi_via_dh", "predicted_residue", "prepare_prime",
+    "jacobi_sum_variant", "jacobi_via_dh", "prepare_prime",
     "residue_mod_t8", "s_direct", "s_lemma", "solution_from_tables", "tu_decompose",
     "valuation", "verify_diophantine", "verify_prime",
 ]

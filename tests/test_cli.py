@@ -323,27 +323,14 @@ def test_unwritable_stdout_exit_code_of_the_process():
     assert proc.stderr == "error: cannot write report: [Errno 28] No space left on device\n"
 
 
-def _inline_pool(monkeypatch, cpus: int, lazy: bool = False,
-                 log: list | None = None) -> list[int]:
-    """A stub pool that records its size and runs its tasks inline: no process starts.
+def _inline_pool(monkeypatch, cpus: int, log: list | None = None) -> list[int]:
+    """A stub pool that records its size and runs each task inline when it
+    is submitted: no process starts.
 
-    A task runs when it is submitted, or with lazy when its result is
-    first asked for: a lazy future is never done before that, so the
-    parent runs every task it may.  Each submission goes into log as
-    ("submit", task).  The process may run on cpus CPUs, whatever the
-    machine has.
+    Each submission goes into log as ("submit", task).  The process may
+    run on cpus CPUs, whatever the machine has.
     """
     sizes = []
-
-    class LazyFuture(Future):
-        def __init__(self, fn, item):
-            super().__init__()
-            self.run = lambda: self.set_result(fn(item))
-
-        def result(self, timeout=None):
-            if not self.done():
-                self.run()
-            return super().result(timeout)
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -358,9 +345,8 @@ def _inline_pool(monkeypatch, cpus: int, lazy: bool = False,
         def submit(self, fn, item):
             if log is not None:
                 log.append(("submit", item))
-            future = LazyFuture(fn, item)
-            if not lazy:
-                future.run()
+            future = Future()
+            future.set_result(fn(item))
             return future
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
@@ -369,12 +355,11 @@ def _inline_pool(monkeypatch, cpus: int, lazy: bool = False,
 
 
 def test_scan_pool_sized_to_the_work(tmp_path, capsys, monkeypatch):
-    # the parent computes too: the pool has one child fewer than the jobs
     sizes = _inline_pool(monkeypatch, cpus=64)
     code, _, _ = run_cli(capsys, "scan", "--min", "190", "--max", "500", "--modulus", "49",
                          "--output", str(tmp_path / "r.json"), "--jobs", "64")
     assert code == 0
-    assert sizes == [1]  # 197 and 491: the parent and one child
+    assert sizes == [2]  # 197 and 491: one pool process each
 
 
 def test_scan_pool_sized_to_the_cpus(tmp_path, capsys, monkeypatch):
@@ -383,43 +368,32 @@ def test_scan_pool_sized_to_the_cpus(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "scan", "--min", "2", "--max", "1000", "--modulus", "14",
                          "--output", str(tmp_path / "r.json"), "--jobs", "5000")
     assert code == 0
-    assert sizes == [2]
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
-def test_scan_window_bounds_what_is_pending(monkeypatch, jobs):
-    # Children whose tasks finish only when the parent waits for them: the
-    # parent runs every task it may, and the window alone bounds the rest.
+def test_scan_pool_computes_every_task_in_a_bounded_window(monkeypatch, jobs):
+    # every task goes to the pool, the parent runs none, at most _WINDOW
+    # tasks per pool process are pending, and results come back in order
     events = []
     monkeypatch.setattr(cli, "_scan_one", lambda task: events.append(("run", task)) or task)
-    sizes = _inline_pool(monkeypatch, cpus=3, lazy=True, log=events)
-    tasks = list(range(40))
+    sizes = _inline_pool(monkeypatch, cpus=3, log=events)
+    tasks = list(range(3 * cli._WINDOW * jobs + 5))
     got = []
     for result in cli._scan_results(tasks, jobs):
         got.append(result)
         events.append(("yield", result))
     assert got == tasks
-    children = jobs - 1
-    assert sizes == [children]
-    in_child = {task for kind, task in events if kind == "submit"}
-    by_parent = {task for kind, task in events if kind == "run"} - in_child
-    assert by_parent and in_child | by_parent == set(tasks)
-    assert tasks[-1] in by_parent  # a child is never given the parent's last task
-    # At every step at most _QUEUED tasks per child are in flight, from their
-    # submission to their yield, and at most _AHEAD more are pending.
-    in_flight = held = 0
-    for kind, task in events:
-        if kind == "submit":
-            in_flight += 1
-        elif kind == "run" and task in by_parent:
-            held += 1
-        elif kind == "yield" and task in in_child:
-            in_flight -= 1
-        elif kind == "yield":
-            held -= 1
-        assert in_flight <= cli._QUEUED * children, events
-        assert in_flight + held <= cli._QUEUED * children + cli._AHEAD, events
-    assert in_flight == held == 0
+    assert sizes == [jobs]
+    assert [t for kind, t in events if kind == "submit"] == tasks
+    assert [t for kind, t in events if kind == "run"] == tasks
+    # from its submission to its yield a task is pending
+    pending = most = 0
+    for kind, _ in events:
+        pending += {"submit": 1, "run": 0, "yield": -1}[kind]
+        most = max(most, pending)
+    assert most == cli._WINDOW * jobs
+    assert pending == 0
 
 
 def test_scan_modulus_14_classifies(tmp_path, capsys):
@@ -475,7 +449,7 @@ def _failing_scan_one(task):
 
 @pytest.mark.parametrize("jobs", ["2", "3"])
 def test_failing_scan_reports_the_first_failure_in_p_order(tmp_path, capsys, monkeypatch, jobs):
-    # the parent runs some primes itself: its own failures wait their turn too
+    # later primes may fail first in the pool: the first in p order is reported
     out_file = tmp_path / "r.json"
     monkeypatch.setattr(cli, "_scan_one", _failing_scan_one)
     code, _, err = run_cli(capsys, "scan", "--min", "2", "--max", "5000", "--modulus", "49",

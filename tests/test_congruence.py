@@ -10,9 +10,8 @@ from jacobi49.cli import main, primes_in_range
 from jacobi49.congruence import (MINUS_ONE_RESIDUE, SIX_CLASS_REPS,
                                  adjudicate_closed_forms, c7_closed_form_fitted,
                                  coefficient_sets, coeffs_by_definition, coeffs_closed_form,
-                                 lambda_pair, lambda_single, predicted_residue,
-                                 predicted_rows, s_direct, s_direct_all, s_lemma,
-                                 s_lemma_all)
+                                 lambda_pair, lambda_single, predicted_rows, s_direct,
+                                 s_direct_all, s_lemma, s_lemma_all)
 from jacobi49.cyclotomic_ring import CyclotomicInt, Residue8, image_rows, residue_mod_t8
 from jacobi49.cyclotomy import (DicksonHurwitzTable, cyclotomic_numbers, dickson_hurwitz,
                                 identity_suite, jacobi_from_cyc, jacobi_rows, jacobi_sum,
@@ -21,7 +20,7 @@ from jacobi49.errors import InputError, InvariantViolation
 from jacobi49.order7 import Sextuple, solution_from_tables
 from jacobi49.prime_field import build_ctx, find_generator
 from jacobi49.verify import classify_prime, verify_prime
-from oracles import closed_forms_stated, residue8, second_generator
+from oracles import closed_forms_stated, predicted_residue, residue8, second_generator
 
 P49_SMALL = primes_in_range(2, 5000, 49)
 
