@@ -1,7 +1,9 @@
 """Hot loops over F_p, in numpy.
 
 factorials gives the n! mod p that the cyclotomic numbers are built
-from (cyclotomy.cyclotomic_numbers).  Every k <= n is s * r in exactly
+from when p = 1 (mod 49) (cyclotomy.cyclotomic_numbers; otherwise the
+order-7 numbers come from Stickelberger's relation and no kernel here
+runs for them).  Every k <= n is s * r in exactly
 one way with s = 2^a 3^b and r prime to 6, and then r <= floor(n/s), so
 
     n! = 2^v2 * 3^v3 * prod_s R(floor(n/s)),

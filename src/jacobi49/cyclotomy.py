@@ -1,6 +1,6 @@
 """Cyclotomic numbers, Jacobi sums, and Dickson-Hurwitz sums over F_p.
 
-The package has four routes to a Jacobi sum J(1,n)_e:
+The package has five routes to a Jacobi sum J(1,n)_e:
 
   * a direct character sum over F_p (jacobi_sum),
   * the Fourier transform of the cyclotomic-number table (jacobi_rows,
@@ -10,11 +10,18 @@ The package has four routes to a Jacobi sum J(1,n)_e:
     (jacobi_rows_via_dh, jacobi_via_dh, valid because the cofactor f is
     even for odd e),
   * its image in F_p under zeta -> gamma^f, which the Gauss-Jacobi
-    binomial congruence gives from factorials mod p (jacobi_images).
+    binomial congruence gives from factorials mod p (jacobi_images, when
+    p = 1 (mod 49)),
+  * for e = 7 and p != 1 (mod 49), Stickelberger's relation on a
+    generator of a prime of Z[zeta_7] above p (stickelberger.jacobi_sums),
+    which jacobi_images maps into F_p the same way.
 
-The table itself is built from the last (cyclotomic_numbers): every
+The table itself is built from the images (cyclotomic_numbers): every
 cell lies in [0, p), so its residue, an inverse Fourier transform of the
-images, fixes it.  That route reads no class table.  The direct sum
+images, fixes it.  Neither image route reads a class table, and the
+Stickelberger one makes no pass over F_p at all.  There is one route per
+case: factorials for both orders when 49 | p - 1, where the order-49
+table needs them anyway, and Stickelberger otherwise.  The direct sum
 does, at the cost of a pass over F_p for one J(i,j); the tests use it
 as their oracle.  The verification pipeline checks the table instead by
 counting it directly, every cell in one pass over the class table
@@ -46,7 +53,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, stickelberger
 from .cyclotomic_ring import CyclotomicInt, canonical_rows
 from .errors import InvariantViolation, UnsupportedCase
 from .prime_field import FieldContext
@@ -108,14 +115,30 @@ def jacobi_images(ctx: FieldContext, e: int) -> np.ndarray:
     and Jacobi Sums, 1998).  J(0,0) = p - 2 and J(0,j) = J(i,0) = -1.
     By Wilson's theorem 1/(kf)! = -((e - k)f)! for 0 < k < e, so for
     i + j > e the image is -(if)! (jf)! ((2e - i - j)f)!, a product of
-    three entries of ctx.factorials.  Returns int64 residues.
+    three entries of ctx.factorials.
+
+    When m = e = 7 the cells with i, j and i + j nonzero come instead from
+    the exact J(1,n)_7 of stickelberger.jacobi_sums, as J(i,j) =
+    sigma_i(J(1, j/i)) at zeta = g = gamma^f, i.e. J(1, j/i) at g^i; the
+    factorials are never computed, and no pass over F_p is made.  Returns
+    int64 residues.
     """
     p = ctx.p
-    ctx.cofactor(e)
-    fact = ctx.factorials[:: ctx.m // e]  # (k f)!, k = 0..e-1
+    f = ctx.cofactor(e)
     i, j, k, above, on = _image_grid(e)
-    product = fact[i] * fact[j] % p * fact[k] % p
-    images = np.where(above, p - product, 0)
+    if e == ctx.m == 7:
+        sums = np.zeros((7, 6), dtype=np.int64)  # row n: J(1,n)_7, n = 1..5
+        sums[1:6] = stickelberger.jacobi_sums(p, ctx.gamma)
+        g = pow(ctx.gamma, f, p)
+        powers = np.array([pow(g, a, p) for a in range(7)], dtype=np.int64)
+        exponents = _fourier_exponents(7)
+        # at n, i: J(1,n) at g^i; coefficients below 2p, so the sums stay below 2^63
+        values = sums @ powers[exponents[:6]] % p
+        images = values[exponents[list(stickelberger.INVERSE)], i]
+    else:
+        fact = ctx.factorials[:: ctx.m // e]  # (k f)!, k = 0..e-1
+        product = fact[i] * fact[j] % p * fact[k] % p
+        images = np.where(above, p - product, 0)
     images[on] = p - 1
     images[0, :] = images[:, 0] = p - 1
     images[0, 0] = p - 2
@@ -123,7 +146,8 @@ def jacobi_images(ctx: FieldContext, e: int) -> np.ndarray:
 
 
 def counts_from_factorials(ctx: FieldContext, e: int) -> np.ndarray:
-    """The cyclotomic numbers (a,b)_e as an int64 (e, e) array, from factorials mod p.
+    """The cyclotomic numbers (a,b)_e as an int64 (e, e) array, from the images
+    of jacobi_images: factorials mod p, or Stickelberger's relation when m = 7.
 
     J(i,j)_e = sum_{a,b} (a,b)_e zeta^(ia + jb) inverts to
     (a,b)_e = e^-2 sum_{i,j} w^-(ia + jb) J(i,j) = e^-2 (W J W^T)[a, b]
@@ -147,10 +171,11 @@ def counts_from_factorials(ctx: FieldContext, e: int) -> np.ndarray:
 
 
 def cyclotomic_numbers(ctx: FieldContext, e: int) -> CycNumberTable:
-    """The table of (a,b)_e, built from factorials mod p; e must divide ctx.m.
+    """The table of (a,b)_e, built from the images of jacobi_images; e must divide ctx.m.
 
-    No class table is read.  The result must pass check_symmetries (the
-    cells sum to p - 2 and the even-f classes hold); otherwise this raises.
+    No class table is read, and at m = 7 no pass over F_p is made.  The
+    result must pass check_symmetries (the cells sum to p - 2 and the
+    even-f classes hold); otherwise this raises.
     """
     counts = counts_from_factorials(ctx, e)
     table = CycNumberTable(e=e, p=ctx.p, counts=counts)

@@ -19,13 +19,13 @@ test references (tests/oracles.py): the pipeline reads none of them.
 """
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
 from .cyclotomy import CycNumberTable, DicksonHurwitzTable, six_class
 from .errors import InputError, InvariantViolation
 from .prime_field import seventh_root_of_unity
+from .stickelberger import subfield_prime
 
 
 @dataclass(frozen=True)
@@ -58,30 +58,16 @@ class Sextuple:
 def tu_decompose(p: int) -> TUPair:
     """The unique (t, u) with p = t^2 + 7u^2, t = 1 (mod 7), u > 0; p a prime = 1 (mod 7).
 
-    Cornacchia's algorithm: the Euclidean algorithm on p and a square root
-    of -7 mod p stops at the first remainder t below sqrt(p), and then
-    p - t^2 = 7u^2.  The root is the conductor-7 Gauss sum
-    w + w^2 + w^4 - w^3 - w^5 - w^6, whose square is -7 for any seventh
-    root of unity w != 1 mod p (prime_field.seventh_root_of_unity); no
-    square root is searched for.
+    Cornacchia's algorithm (stickelberger.subfield_prime) on the seventh
+    root of unity of prime_field.seventh_root_of_unity, with the signs
+    then normalized.
     """
-    w = seventh_root_of_unity(p)
-    x = [1]
-    for _ in range(6):
-        x.append(x[-1] * w % p)
-    a, t = p, (x[1] + x[2] + x[4] - x[3] - x[5] - x[6]) % p
-    limit = isqrt(p)
-    while t > limit:
-        a, t = t, a % t
-    u2, rest = divmod(p - t * t, 7)
-    u = isqrt(u2)
-    if rest or u * u != u2 or u == 0:
-        raise InvariantViolation(f"p = {p} has no t^2 + 7u^2 representation")
+    t, u = subfield_prime(p, seventh_root_of_unity(p))
     if t % 7 != 1:
         t = -t
     if t % 7 != 1:
         raise InvariantViolation(f"no residue-normalized t for p = {p}")
-    return TUPair(t=t, u=u)
+    return TUPair(t=t, u=abs(u))
 
 
 def solution_from_tables(dh7: DicksonHurwitzTable) -> Sextuple:

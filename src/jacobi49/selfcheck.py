@@ -4,9 +4,10 @@ These guard the foundations everything else silently relies on: the
 polynomial identity behind the residue map, the ring-homomorphism
 property of that map, ideal membership of 7, the elementary Jacobi-sum
 identities on a small field, the factorial kernel against math.factorial
-at p = 197, and the agreement of the two independent constructions of
-the cyclotomic numbers (from factorials mod p, and by counting class
-pairs).
+at p = 197, and the agreement of the cyclotomic numbers with a count of
+class pairs, which is different mathematics from either route that
+builds them: Stickelberger's relation on a prime of Z[zeta_7] at p = 29,
+which is not 1 (mod 49), and factorials mod p at p = 197, which is.
 """
 
 import math
@@ -66,8 +67,8 @@ CHECKS = (
      == [math.factorial(n) % 197 for n in range(197)]),
     ("elementary Jacobi-sum identities hold at p = 29",
      lambda: not identity_suite(cyclotomic_numbers(build_ctx(29), 7))),
-    ("cyclotomic numbers from factorials equal the class-pair counts at p = 29 and 197",
-     _tables_agree),
+    ("class-pair counts equal the cyclotomic numbers from Stickelberger's relation "
+     "at p = 29 and from factorials at p = 197", _tables_agree),
 )
 
 

@@ -241,6 +241,9 @@ def verify_prime(p: int, gamma: int | None = None,
 def classify_prime(p: int, gamma: int | None = None) -> Certificate:
     """Classification-only certificate for p = 1 (mod 14); no congruence part.
 
-    Builds no class table: the one pass over F_p is the factorial product.
+    Builds no class table.  When p = 1 (mod 49) the one pass over F_p is
+    the factorial product behind both tables; otherwise the order-7 table
+    comes from Stickelberger's relation on a prime of Z[zeta_7] above p,
+    and no pass over F_p is made.
     """
     return run_prime(p, gamma, None)[0]

@@ -536,8 +536,10 @@ def test_selftest_detects_a_wrong_factorial_kernel(capsys, monkeypatch):
 
 
 def test_selftest_reports_a_raising_check_as_failed(capsys, monkeypatch):
-    # fault injection: the last factorial wrong, so the table built from
-    # them breaks its symmetry check and cyclotomic_numbers raises
+    # fault injection: the last factorial wrong, so the order-49 table built
+    # from them at p = 197 breaks its symmetry check and cyclotomic_numbers
+    # raises; at p = 29 the order-7 table comes from Stickelberger's
+    # relation, which reads no factorial
     from jacobi49 import _kernels
     real = _kernels.factorials
 
@@ -550,8 +552,10 @@ def test_selftest_reports_a_raising_check_as_failed(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 1
     assert "[FAIL] factorial kernel" in out
-    assert "[FAIL] elementary Jacobi-sum identities hold at p = 29 (raised InvariantViolation" in out
-    assert "[FAIL] cyclotomic numbers from factorials" in out
+    assert "[ok] elementary Jacobi-sum identities hold at p = 29" in out
+    assert ("[FAIL] class-pair counts equal the cyclotomic numbers from Stickelberger's "
+            "relation at p = 29 and from factorials at p = 197 (raised InvariantViolation: "
+            "cyclotomic numbers of order 49 at p = 197") in out
     assert "[ok] residue of 7 vanishes" in out
 
 

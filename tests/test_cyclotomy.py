@@ -472,7 +472,9 @@ def test_factorial_tables_match_pair_counts_other_generator():
     _assert_tables_match_pair_counts(build_ctx(60271, 33), (7, 49))
 
 
-def test_factorial_tables_match_pair_counts_mod14_e7():
+def test_stickelberger_tables_match_pair_counts_mod14_e7():
+    # the order-7 table comes from Stickelberger's relation at p != 1 (mod 49),
+    # and from factorials at the primes = 1 (mod 49) among these
     for p in primes_in_range(2, 3000, 14):
         _assert_tables_match_pair_counts(build_ctx(p), (7,))
     _assert_tables_match_pair_counts(build_ctx(4500007), (7,))

@@ -39,6 +39,11 @@ GOLDEN = {
         "80e4a06f980acd1afc17269d2a9aa97dcc171c8b239d2e217d0ddee44eeaec1f",
     ("classify", "--prime", "60271"):
         "4e7e913b1502bd43dfcde72d6274c7b96f086bcf1b69da378236233e9080c26b",
+    # the second smallest generator (oracles.second_generator) at p != 1 (mod 49)
+    ("classify", "--prime", "14197", "--generator", "14"):
+        "3033ee9eb907ced207d2d1258830c2f95862e8c5256c0fbcbe876c4165c77d83",
+    ("classify", "--prime", "4500007", "--generator", "6"):
+        "7643c232df94d220b991703055e6d1d8366fa02e7c07ac5a23f6248bb15cbb61",
     ("classify", "--prime", "60271", "--generator", "33"):
         "fc014009aad488afbaa3a6149c121bd87871a251002317ac95d2d9352df47afa",
 }

@@ -4,13 +4,15 @@
     python tools/check_scans_1e7.py [PINS.json]
 
 PINS.json defaults to tools/scans_1e7.json: the scans of every prime up
-to 10^7, which take about 19 minutes at --jobs 2.  Each scan runs as
+to 10^7, which take about 15 minutes at --jobs 2.  Each scan runs as
 `python -m jacobi49.cli` on this checkout's src/ and writes its CSV into a
 temporary directory.  The script compares the SHA-256 of the CSV with the
 pin, recounts from the rows the primes (one classification row each, with
 an empty n), their kinds, the rows whose predicted residue misses and the
 rows that carry a discrepancy, and compares those too.  It prints one line
-per scan and exits 0 when everything agrees, 1 otherwise.
+per scan, with its wall time and the CPU seconds of its processes (user
+plus system time of the CLI and its pool), and exits 0 when everything
+agrees, 1 otherwise.
 """
 
 import csv
@@ -56,18 +58,25 @@ def check(scan: dict, workdir: Path) -> list[str]:
             if got[key] != scan[key]]
 
 
+def cpu_seconds(usage) -> float:
+    return usage.ru_utime + usage.ru_stime
+
+
 def main() -> int:
     pins = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "tools" / "scans_1e7.json"
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         for scan in json.loads(pins.read_text())["scans"]:
             t0 = time.monotonic()
+            cpu0 = cpu_seconds(resource.getrusage(resource.RUSAGE_CHILDREN))
             problems = check(scan, Path(tmp))
+            # the finished children of this scan: the CLI and its pool
+            usage = resource.getrusage(resource.RUSAGE_CHILDREN)
             # ru_maxrss of the largest process among the scans so far, in kB
-            peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+            peak = usage.ru_maxrss / 1024
             print(f"[{'FAIL' if problems else 'ok'}] {' '.join(scan['argv'])}: "
-                  f"{time.monotonic() - t0:.0f} s, largest process so far {peak:.0f} MB",
-                  flush=True)
+                  f"{time.monotonic() - t0:.0f} s, {cpu_seconds(usage) - cpu0:.0f} CPU-s, "
+                  f"largest process so far {peak:.0f} MB", flush=True)
             for problem in problems:
                 print(f"    {problem}")
             ok &= not problems
