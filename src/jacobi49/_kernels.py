@@ -1,9 +1,9 @@
 """Hot loops over F_p, in numpy.
 
-factorials gives the n! mod p that the cyclotomic numbers are built
-from when p = 1 (mod 49) (cyclotomy.cyclotomic_numbers; otherwise the
-order-7 numbers come from Stickelberger's relation and no kernel here
-runs for them).  Every k <= n is s * r in exactly
+factorials gives the n! mod p that the order-49 cyclotomic numbers are
+built from when p = 1 (mod 49) (cyclotomy.cyclotomic_numbers; the
+order-7 numbers come from Stickelberger's relation at every p, and no
+kernel here runs for them).  Every k <= n is s * r in exactly
 one way with s = 2^a 3^b and r prime to 6, and then r <= floor(n/s), so
 
     n! = 2^v2 * 3^v3 * prod_s R(floor(n/s)),
@@ -26,8 +26,9 @@ root and m divides p - 1.  With m = gcd(p - 1, 49) every character of
 order 7 or 49 is read off it.  Labels are below 64 and stored as uint8;
 classes[0] holds UNDEFINED and is never read.  The pipeline builds the
 table only for pair_counts: verify counts the order-49 table pair by
-pair, once per prime, and compares every cell, and every cell of the
-order-7 table through the fold, with the factorial-built tables.
+pair, once per prime, and compares every cell with the factorial-built
+table, and every cell of the fold with the Stickelberger-built order-7
+table.
 pair_counts is also the oracle of the startup self-check.
 power_pair_hist, one direct character sum, is the kernel of
 cyclotomy.jacobi_sum, which the tests use as their oracle.

@@ -231,8 +231,9 @@ def _csv_text(rows) -> str:
 
 
 # Tasks pending per pool process.  A p = 1 (mod 49) near 10^7 in a
-# modulus-14 scan costs about 15 of its neighbours: while one is the
-# oldest pending, the other processes still have work queued.
+# modulus-14 scan costs 100-300 of its neighbours, but about one task in
+# seven there is such a prime, so the pending tasks hold several: while
+# one is the oldest pending, the other processes still have work queued.
 _WINDOW = 32
 
 

@@ -9,25 +9,27 @@ The package has five routes to a Jacobi sum J(1,n)_e:
   * the Dickson-Hurwitz expansion J(1,n)_e = sum_i B(i,n) zeta^i
     (jacobi_rows_via_dh, jacobi_via_dh, valid because the cofactor f is
     even for odd e),
-  * its image in F_p under zeta -> gamma^f, which the Gauss-Jacobi
-    binomial congruence gives from factorials mod p (jacobi_images, when
-    p = 1 (mod 49)),
-  * for e = 7 and p != 1 (mod 49), Stickelberger's relation on a
-    generator of a prime of Z[zeta_7] above p (stickelberger.jacobi_sums),
-    which jacobi_images maps into F_p the same way.
+  * for e = 49, its image in F_p under zeta -> gamma^f, which the
+    Gauss-Jacobi binomial congruence gives from factorials mod p
+    (jacobi_images),
+  * for e = 7, Stickelberger's relation on a generator of a prime of
+    Z[zeta_7] above p (stickelberger.jacobi_sums), which jacobi_images
+    maps into F_p the same way.
 
 The table itself is built from the images (cyclotomic_numbers): every
 cell lies in [0, p), so its residue, an inverse Fourier transform of the
 images, fixes it.  Neither image route reads a class table, and the
 Stickelberger one makes no pass over F_p at all.  There is one route per
-case: factorials for both orders when 49 | p - 1, where the order-49
-table needs them anyway, and Stickelberger otherwise.  The direct sum
-does, at the cost of a pass over F_p for one J(i,j); the tests use it
-as their oracle.  The verification pipeline checks the table instead by
-counting it directly, every cell in one pass over the class table
-(_kernels.pair_counts), which is different mathematics from the
-factorials.  The Fourier and Dickson-Hurwitz routes, and the identity
-suite, read the one table.
+order, chosen by e alone: Stickelberger for the order-7 table at every
+p = 1 (mod 14), factorials for the order-49 table.  So where both tables
+exist they come from different mathematics, and the pipeline compares
+the order-49 table, folded to order 7, with the order-7 one.  The direct
+sum reads the class table, at the cost of a pass over F_p for one
+J(i,j); the tests use it as their oracle.  The verification pipeline
+also checks the order-49 table by counting it directly, every cell in
+one pass over the class table (_kernels.pair_counts), which is different
+mathematics from either route.  The Fourier and Dickson-Hurwitz routes,
+and the identity suite, read the one table.
 
 Both table routes are one array pass for all n at once.  Column n of
 the Dickson-Hurwitz table and J(1,n) before canonicalisation are row n
@@ -107,26 +109,28 @@ def _fourier_exponents(e: int) -> np.ndarray:
 def jacobi_images(ctx: FieldContext, e: int) -> np.ndarray:
     """The images of J(i,j)_e, i, j = 0..e-1, in F_p under zeta -> gamma^f; e | ctx.m.
 
-    With f = (p - 1)/e the map sends chi^i(x) to x^(if), so J(i,j)_e goes
-    to the sum over v of v^(if) (1 + v)^(jf).  Expanding (1 + v)^(jf)
-    and summing v^k over F_p (-1 when p - 1 divides k > 0, else 0)
-    leaves -binom(jf, (e - i)f) when i + j >= e and 0 when i + j < e
-    (the Gauss-Jacobi binomial congruence; Berndt-Evans-Williams, Gauss
-    and Jacobi Sums, 1998).  J(0,0) = p - 2 and J(0,j) = J(i,0) = -1.
+    The route is chosen by e alone.  For e = 7 the cells with i, j and
+    i + j nonzero come from the exact J(1,n)_7 of
+    stickelberger.jacobi_sums, as J(i,j) = sigma_i(J(1, j/i)) at
+    zeta = g = gamma^f, i.e. J(1, j/i) at g^i: no pass over F_p is made.
+
+    For e = 49 they come from ctx.factorials.  With f = (p - 1)/e the map
+    sends chi^i(x) to x^(if), so J(i,j)_e goes to the sum over v of
+    v^(if) (1 + v)^(jf).  Expanding (1 + v)^(jf) and summing v^k over
+    F_p (-1 when p - 1 divides k > 0, else 0) leaves -binom(jf, (e - i)f)
+    when i + j >= e and 0 when i + j < e (the Gauss-Jacobi binomial
+    congruence; Berndt-Evans-Williams, Gauss and Jacobi Sums, 1998).
     By Wilson's theorem 1/(kf)! = -((e - k)f)! for 0 < k < e, so for
     i + j > e the image is -(if)! (jf)! ((2e - i - j)f)!, a product of
     three entries of ctx.factorials.
 
-    When m = e = 7 the cells with i, j and i + j nonzero come instead from
-    the exact J(1,n)_7 of stickelberger.jacobi_sums, as J(i,j) =
-    sigma_i(J(1, j/i)) at zeta = g = gamma^f, i.e. J(1, j/i) at g^i; the
-    factorials are never computed, and no pass over F_p is made.  Returns
-    int64 residues.
+    J(0,0) = p - 2 and J(0,j) = J(i,0) = J(i,-i) = -1.  Returns int64
+    residues.
     """
     p = ctx.p
     f = ctx.cofactor(e)
     i, j, k, above, on = _image_grid(e)
-    if e == ctx.m == 7:
+    if e == 7:
         sums = np.zeros((7, 6), dtype=np.int64)  # row n: J(1,n)_7, n = 1..5
         sums[1:6] = stickelberger.jacobi_sums(p, ctx.gamma)
         g = pow(ctx.gamma, f, p)
@@ -136,7 +140,7 @@ def jacobi_images(ctx: FieldContext, e: int) -> np.ndarray:
         values = sums @ powers[exponents[:6]] % p
         images = values[exponents[list(stickelberger.INVERSE)], i]
     else:
-        fact = ctx.factorials[:: ctx.m // e]  # (k f)!, k = 0..e-1
+        fact = ctx.factorials  # (k f)!, k = 0..e-1
         product = fact[i] * fact[j] % p * fact[k] % p
         images = np.where(above, p - product, 0)
     images[on] = p - 1
@@ -147,7 +151,8 @@ def jacobi_images(ctx: FieldContext, e: int) -> np.ndarray:
 
 def counts_from_factorials(ctx: FieldContext, e: int) -> np.ndarray:
     """The cyclotomic numbers (a,b)_e as an int64 (e, e) array, from the images
-    of jacobi_images: factorials mod p, or Stickelberger's relation when m = 7.
+    of jacobi_images: Stickelberger's relation for e = 7, factorials mod p
+    for e = 49.
 
     J(i,j)_e = sum_{a,b} (a,b)_e zeta^(ia + jb) inverts to
     (a,b)_e = e^-2 sum_{i,j} w^-(ia + jb) J(i,j) = e^-2 (W J W^T)[a, b]
@@ -173,7 +178,7 @@ def counts_from_factorials(ctx: FieldContext, e: int) -> np.ndarray:
 def cyclotomic_numbers(ctx: FieldContext, e: int) -> CycNumberTable:
     """The table of (a,b)_e, built from the images of jacobi_images; e must divide ctx.m.
 
-    No class table is read, and at m = 7 no pass over F_p is made.  The
+    No class table is read, and for e = 7 no pass over F_p is made.  The
     result must pass check_symmetries (the cells sum to p - 2 and the
     even-f classes hold); otherwise this raises.
     """

@@ -169,10 +169,14 @@ CYC7_ROW_COEFFS: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 4): (12, 12, 24, 0, 8, 0, 0, 0, 98, 294),
 }
 
-def _row_value(row: tuple[int, ...], p: int, t: int, u: int, sol: Sextuple) -> int:
-    c0, cp, ct, cu, *cx = row
-    return (c0 + cp * p + ct * t + cu * u
-            + sum(c * x for c, x in zip(cx, sol.as_tuple())))
+
+# CYC7_ROW_COEFFS as one int64 matrix, and for each cell of the order-7
+# table the row of its representative; (0,0), which has no row, is written
+# apart.
+_ROWS = np.array(list(CYC7_ROW_COEFFS.values()), dtype=np.int64)
+_ROW_OF_CELL = np.zeros((7, 7), dtype=np.int64)
+for _row, _rep in enumerate(CYC7_ROW_COEFFS):
+    _ROW_OF_CELL[tuple(zip(*six_class(7, *_rep)))] = _row
 
 
 def recover_t(sol: Sextuple, p: int, cell00: int) -> int:
@@ -187,20 +191,24 @@ def cyc7_from_solution(sol: Sextuple, t: int, u: int, p: int) -> CycNumberTable:
     """Rebuild the full order-7 cyclotomic table from (sol, t, u).
 
     The caller supplies the generator-matched sign of u; a wrong sign
-    produces a table that simply fails to match the direct one.
+    produces a table that simply fails to match the direct one.  The
+    eleven numerators 588 (i,j)_7 are one int64 product of the rows of
+    CYC7_ROW_COEFFS with (1, p, t, u, x1..x6), exact while every entry is
+    below 2^63 / (10 * 294), about 3 * 10^15, in absolute value: no
+    coefficient exceeds 294.  From the tables of a p <= MAX_PRIME every
+    entry is below 7p.  The representatives are checked for exact
+    division in the order of CYC7_ROW_COEFFS, after (0,0).
     """
-    counts = np.zeros((7, 7), dtype=np.int64)
     num00 = p - 20 - 12 * t + 3 * sol.x1
     if num00 % 49 != 0:
         raise InvariantViolation(f"(0,0) cell not divisible by 49 for p = {p}")
+    nums = _ROWS @ np.array([1, p, t, u, *sol.as_tuple()], dtype=np.int64)
+    inexact = np.flatnonzero(nums % 588)
+    if inexact.size:
+        i, j = list(CYC7_ROW_COEFFS)[inexact[0]]
+        raise InvariantViolation(f"({i},{j}) cell not divisible by 588 for p = {p}")
+    counts = (nums // 588)[_ROW_OF_CELL]
     counts[0, 0] = num00 // 49
-    for (i, j), row in CYC7_ROW_COEFFS.items():
-        num = _row_value(row, p, t, u, sol)
-        if num % 588 != 0:
-            raise InvariantViolation(f"({i},{j}) cell not divisible by 588 for p = {p}")
-        val = num // 588
-        for (a, b) in six_class(7, i, j):
-            counts[a, b] = val
     counts.flags.writeable = False
     return CycNumberTable(e=7, p=p, counts=counts)
 

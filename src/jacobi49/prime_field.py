@@ -8,14 +8,14 @@ prime and shared read-only.  It holds two per-prime tables, each built
 on first use and then kept:
 
   * factorials, (k (p-1)/m)! mod p for k = 0..m-1, from which the
-    cyclotomic numbers of orders 7 and 49 are computed when m = 49
+    cyclotomic numbers of order 49 are computed when m = 49
     (cyclotomy.cyclotomic_numbers).  By Legendre's formula n! is
     2^v2 3^v3 times the products of the integers prime to 6 up to
     floor(n/s), s = 2^a 3^b, so one walk over a third of the integers up
     to ((m - 1)/2)(p-1)/m gives the lower half, and Wilson's theorem the
-    upper.  When m = 7 nothing reads it: the order-7 numbers then come
-    from Stickelberger's relation (stickelberger.jacobi_sums), with no
-    pass over F_p;
+    upper.  The order-7 numbers never read it: at every p they come from
+    Stickelberger's relation (stickelberger.jacobi_sums), with no pass
+    over F_p;
   * classes, ind(a) mod m as one uint8 per field element, which only
     the direct counts read: the pair count that checks the cyclotomic
     numbers in verification, and the direct character sums.
@@ -139,7 +139,8 @@ class FieldContext:
 
     @cached_property
     def factorials(self) -> np.ndarray:
-        """(k*f)! mod p for k = 0..m-1, f = (p - 1)/m, as int64.
+        """(k*f)! mod p for k = 0..m-1, f = (p - 1)/m, as int64; the order-49
+        table alone reads it, so only when m = 49.
 
         Only the lower half, up to (h*f)!, h = m // 2, comes from the
         kernel, in one call: _kernels.factorials multiplies only the

@@ -6,8 +6,9 @@ property of that map, ideal membership of 7, the elementary Jacobi-sum
 identities on a small field, the factorial kernel against math.factorial
 at p = 197, and the agreement of the cyclotomic numbers with a count of
 class pairs, which is different mathematics from either route that
-builds them: Stickelberger's relation on a prime of Z[zeta_7] at p = 29,
-which is not 1 (mod 49), and factorials mod p at p = 197, which is.
+builds them: Stickelberger's relation on a prime of Z[zeta_7], for the
+order-7 tables at p = 29 and p = 197, and factorials mod p, for the
+order-49 table at p = 197 = 1 (mod 49).
 """
 
 import math

@@ -97,8 +97,8 @@ def _nearby(a, b, q, nb):
     whose coordinates differ from q's by -1, 0 or 1, the fewest changed first.
 
     Below MAX_PRIME one changed coordinate has always sufficed: rounding
-    fails at 241 of the steps that prime_above takes at the 94817 primes
-    p = 1 (mod 14), p != 1 (mod 49), the first at p = 28309.
+    fails at 291 of the steps that prime_above takes at the 110653 primes
+    p = 1 (mod 14), the first at p = 28309.
     """
     for ds in sorted(product((-1, 0, 1), repeat=6), key=lambda ds: ds.count(0),
                      reverse=True):

@@ -109,12 +109,19 @@ def prepare_prime(p: int, gamma: int | None = None) -> PrimeBundle:
                        recon=recon, dio=dio, cyc49=cyc49, dh49=dh49)
 
 
+def _fold(counts: np.ndarray) -> np.ndarray:
+    """The order-7 table of an order-49 one: (a,b)_7 is the sum of the (a + 7s, b + 7t)_49."""
+    return counts.reshape(7, 7, 7, 7).sum(axis=(0, 2))
+
+
 def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> list[Certificate]:
     """The certificates of p: one per n in ns, or the classification record if ns is None.
 
     Row 0 of every column is n = 1, which the classification reads; the
     other rows are the n in ns.  J(1,n)_49 is read off the order-49
-    table built from factorials mod p.  When n values are verified, one
+    table built from factorials mod p.  Its fold to order 7 is compared
+    cell for cell with the order-7 table, which comes from Stickelberger's
+    relation, for classify as for verify.  When n values are verified, one
     pass over the class table counts that table directly over F_p, and
     every cell of it, and of the order-7 table through the fold, is
     compared with the count; J(1,1)_49 is then read off the counted table,
@@ -136,17 +143,17 @@ def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> list[Cer
                for sd, sl in zip(s_values, s_lemmas)]
     coeffs = coefficient_sets(bundle.dh7, rows, s_values)
 
-    counted_ok = folded_ok = True
+    counted_ok = folded_ok = fold49_ok = True
     suite_ok = None
     actual = predicted = match = weak = three_path = [None] * len(rows)
     if dh49 is not None:
+        fold49_ok = (_fold(cyc49.counts) == bundle.cyc7.counts).all()
         via_cyc = jacobi_rows(cyc49, 1, rows)
         direct = via_cyc.copy()
         if ns:
             counts = _kernels.pair_counts(ctx.classes_for(49), 49)
             counted_ok = (counts == cyc49.counts).all()
-            folded_ok = (counts.reshape(7, 7, 7, 7).sum(axis=(0, 2))
-                         == bundle.cyc7.counts).all()
+            folded_ok = (_fold(counts) == bundle.cyc7.counts).all()
             counted = CycNumberTable(e=49, p=p, counts=counts)
             direct[np.equal(rows, 1)] = jacobi_rows(counted, 1, (1,))
             suite_ok = not identity_suite(cyc49)
@@ -172,6 +179,7 @@ def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> list[Cer
         (suite_ok is False, "elementary Jacobi-sum identity suite failed"),
         (not counted_ok, "order-49 table differs from the direct pair count"),
         (not folded_ok, "order-7 table differs from the folded direct pair count"),
+        (not fold49_ok, "order-7 table differs from the folded order-49 table"),
         (ev.via_x != ev.via_cubic, "artiad criteria disagree (x-test vs cubic roots)"),
     ) if failed)
 
@@ -241,9 +249,10 @@ def verify_prime(p: int, gamma: int | None = None,
 def classify_prime(p: int, gamma: int | None = None) -> Certificate:
     """Classification-only certificate for p = 1 (mod 14); no congruence part.
 
-    Builds no class table.  When p = 1 (mod 49) the one pass over F_p is
-    the factorial product behind both tables; otherwise the order-7 table
-    comes from Stickelberger's relation on a prime of Z[zeta_7] above p,
-    and no pass over F_p is made.
+    Builds no class table.  The order-7 table comes from Stickelberger's
+    relation on a prime of Z[zeta_7] above p, with no pass over F_p.  When
+    p = 1 (mod 49) the one pass over F_p is the factorial product behind
+    the order-49 table, whose fold to order 7 is checked against the
+    order-7 table; otherwise no pass over F_p is made.
     """
     return run_prime(p, gamma, None)[0]

@@ -239,6 +239,14 @@ def trivial_solutions(tu: TUPair) -> list[Sextuple]:
 CYC7_ROW_01_X4_VARIANT = (-72, 12, 24, 168, -6, 84, -42, 147, 0, 147)
 
 
+def row_value(row: tuple[int, ...], p: int, t: int, u: int, sol: Sextuple) -> int:
+    """One closed-form row, such as those of order7.CYC7_ROW_COEFFS, at
+    (1, p, t, u, x1..x6), in Python integers."""
+    c0, cp, ct, cu, *cx = row
+    return (c0 + cp * p + ct * t + cu * u
+            + sum(c * x for c, x in zip(cx, sol.as_tuple())))
+
+
 def closed_forms_stated(sol: Sextuple, p: int) -> ClosedFormCoeffs:
     """The closed forms for c_{1,1}..c_{6,1} and c_{7,1} as stated, in Fraction arithmetic.
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobi49 import congruence, cyclotomic_ring, cyclotomy, verify
+from jacobi49 import congruence, cyclotomic_ring, cyclotomy, stickelberger, verify
 from jacobi49.cli import main, primes_in_range
 from jacobi49.congruence import (MINUS_ONE_RESIDUE, SIX_CLASS_REPS,
                                  adjudicate_closed_forms, c7_closed_form_fitted,
@@ -19,7 +19,7 @@ from jacobi49.cyclotomy import (DicksonHurwitzTable, cyclotomic_numbers, dickson
 from jacobi49.errors import InputError, InvariantViolation
 from jacobi49.order7 import Sextuple, solution_from_tables
 from jacobi49.prime_field import build_ctx, find_generator
-from jacobi49.verify import classify_prime, verify_prime
+from jacobi49.verify import classify_prime, prepare_prime, verify_prime
 from oracles import closed_forms_stated, predicted_residue, residue8, second_generator
 
 P49_SMALL = primes_in_range(2, 5000, 49)
@@ -237,9 +237,9 @@ def test_verify_prime_of_no_n_runs_no_check(kernel_calls):
 
 @pytest.mark.parametrize("p", [43, 197, 60271])
 def test_classify_prime_passes_over_field(kernel_calls, p):
-    # p = 1 (mod 14), and at 197 and 60271 also 1 (mod 49): there the order-7
-    # and order-49 tables come from one factorial product; at 43 the order-7
-    # table comes from Stickelberger's relation, with no pass over F_p at all.
+    # p = 1 (mod 14), and at 197 and 60271 also 1 (mod 49): there the order-49
+    # table comes from one factorial product.  The order-7 table comes from
+    # Stickelberger's relation at every p, with no pass over F_p at all.
     # No class table is built.
     cert = classify_prime(p)
     assert not cert.discrepancies
@@ -292,7 +292,8 @@ def test_direct_sum_catches_a_wrong_table(monkeypatch):
 def test_discrepancy_order_with_a_wrong_table(monkeypatch):
     # The per-n texts come first, then the per-prime ones, each group in a
     # fixed order.  classify builds no class table and runs no identity
-    # suite, so it sees nothing wrong with this table.
+    # suite, and the (3,11) negation keeps the table's fold to order 7, so
+    # classify still sees nothing wrong with this table.
     _shift_the_factorial_table(monkeypatch, 49, _negate_one_class)
     per_prime = ("elementary Jacobi-sum identity suite failed",
                  "order-49 table differs from the direct pair count")
@@ -303,6 +304,7 @@ def test_discrepancy_order_with_a_wrong_table(monkeypatch):
 
 COUNTED_49 = "order-49 table differs from the direct pair count"
 FOLDED_7 = "order-7 table differs from the folded direct pair count"
+FOLDED_49 = "order-7 table differs from the folded order-49 table"
 
 
 def _permute_by_unit(s, e):
@@ -329,6 +331,7 @@ def test_pair_count_catches_the_table_of_another_generator(monkeypatch, p):
     assert cert.cross_checks["identity_suite_ok"] is True
     assert COUNTED_49 in cert.discrepancies
     assert FOLDED_7 not in cert.discrepancies
+    assert FOLDED_49 not in cert.discrepancies
 
 
 @pytest.mark.parametrize("p", [197, 60271])
@@ -340,6 +343,51 @@ def test_folded_pair_count_catches_a_wrong_order7_table(monkeypatch, p):
     cert = verify_prime(p, ns=(1,))[0]
     assert FOLDED_7 in cert.discrepancies
     assert COUNTED_49 not in cert.discrepancies
+    # the fold of the order-49 table disagrees with it too
+    assert FOLDED_49 in cert.discrepancies
+
+
+def test_classify_catches_the_order49_table_of_another_generator(monkeypatch):
+    # Renamed by the unit 3, the order-49 table is the true table of another
+    # generator.  Its fold is that generator's order-7 table, not the one
+    # Stickelberger's relation gives for this one.  At 197 no other check of
+    # classify sees the renaming.
+    _shift_the_factorial_table(monkeypatch, 49, _permute_by_unit(3, 49))
+    assert classify_prime(197).discrepancies == (FOLDED_49,)
+
+
+@pytest.mark.parametrize("p", [197, 60271])
+def test_classify_flags_the_fold_beside_the_s_paths(monkeypatch, p):
+    # renamed by the unit 2, the order-49 table moves S(1) off the order-7 path too
+    _shift_the_factorial_table(monkeypatch, 49, _permute_by_unit(2, 49))
+    assert classify_prime(p).discrepancies == ("S(1) direct and order-7 paths disagree",
+                                               FOLDED_49)
+
+
+@pytest.mark.parametrize("p", [197, 60271])
+def test_the_fold_misses_a_unit_that_is_1_mod_7(monkeypatch, p):
+    # The fold's blind spot: renamed by 8 = 1 (mod 7), the order-49 table
+    # folds to the same order-7 table, and classify sees nothing.  Only
+    # verify's pair count catches it
+    # (test_pair_count_catches_the_table_of_another_generator).
+    _shift_the_factorial_table(monkeypatch, 49, _permute_by_unit(8, 49))
+    assert classify_prime(p).discrepancies == ()
+
+
+@pytest.mark.parametrize("p", [197, 60271])
+def test_stickelberger_builds_the_order7_table_at_p_1_mod_49(monkeypatch, p):
+    # one route per order: the order-7 table comes from Stickelberger's
+    # relation, once per bundle, even where the factorials exist
+    calls = []
+    real = stickelberger.jacobi_sums
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stickelberger, "jacobi_sums", counting)
+    bundle = prepare_prime(p)
+    assert calls == [(p, bundle.ctx.gamma)]
 
 
 @pytest.mark.parametrize("p,e", [(43, 7), (197, 7), (197, 49)])

@@ -473,8 +473,8 @@ def test_factorial_tables_match_pair_counts_other_generator():
 
 
 def test_stickelberger_tables_match_pair_counts_mod14_e7():
-    # the order-7 table comes from Stickelberger's relation at p != 1 (mod 49),
-    # and from factorials at the primes = 1 (mod 49) among these
+    # the order-7 table comes from Stickelberger's relation at every p, the
+    # primes = 1 (mod 49) among these included
     for p in primes_in_range(2, 3000, 14):
         _assert_tables_match_pair_counts(build_ctx(p), (7,))
     _assert_tables_match_pair_counts(build_ctx(4500007), (7,))

@@ -1,11 +1,15 @@
+import re
+
 import pytest
 
 from jacobi49.cli import primes_in_range
+from jacobi49.cyclotomy import six_class
 from jacobi49.errors import InputError, InvariantViolation
-from jacobi49.order7 import (CYC7_ROW_COEFFS, Sextuple, _row_value, cyc7_from_solution,
+from jacobi49.order7 import (CYC7_ROW_COEFFS, Sextuple, cyc7_from_solution,
                              match_reconstruction, norm_form, recover_t, tu_decompose,
                              verify_diophantine)
-from oracles import CYC7_ROW_01_X4_VARIANT, conjugate, orbit, trivial_solutions, tu_search
+from oracles import (CYC7_ROW_01_X4_VARIANT, conjugate, orbit, row_value, trivial_solutions,
+                     tu_search)
 
 P14_SMALL = primes_in_range(2, 1500, 14)
 
@@ -191,7 +195,7 @@ def test_stated_01_row_reading_fails(bundle):
     rep = match_reconstruction(b.cyc7, b.sol, b.tu)
     assert b.sol.x4 != b.sol.x5
     stated = {
-        _row_value(CYC7_ROW_01_X4_VARIANT, 29, rep.t, u, b.sol)
+        row_value(CYC7_ROW_01_X4_VARIANT, 29, rep.t, u, b.sol)
         for u in (b.tu.u, -b.tu.u)
     }
     assert 588 * b.cyc7.cell(0, 1) not in stated
@@ -206,6 +210,45 @@ def test_cyc7_from_solution_wrong_u_fails(bundle):
         assert not np.array_equal(wrong.counts, b.cyc7.counts)
     except InvariantViolation:
         pass  # non-exact division is also an acceptable failure mode
+
+
+@pytest.mark.parametrize("p", [29, 197, 4020409])
+def test_cyc7_from_solution_equals_the_rows_cell_by_cell(bundle, p):
+    # the int64 product against each row in Python integers, copied over its
+    # six class, under both signs of u; a sign with an inexact row raises
+    b = bundle(p)
+    t = match_reconstruction(b.cyc7, b.sol, b.tu).t
+    for u in (b.tu.u, -b.tu.u):
+        expected = [[None] * 7 for _ in range(7)]
+        expected[0][0] = (p - 20 - 12 * t + 3 * b.sol.x1) // 49
+        exact = True
+        for (i, j), row in CYC7_ROW_COEFFS.items():
+            value, rest = divmod(row_value(row, p, t, u, b.sol), 588)
+            exact = exact and rest == 0
+            for a, c in six_class(7, i, j):
+                expected[a][c] = value
+        if exact:
+            assert cyc7_from_solution(b.sol, t, u, p).counts.tolist() == expected
+        else:
+            with pytest.raises(InvariantViolation, match="not divisible by 588"):
+                cyc7_from_solution(b.sol, t, u, p)
+
+
+def test_cyc7_from_solution_names_the_first_inexact_representative(bundle):
+    # x4 off by one keeps (0,0) exact; the representative named is the first,
+    # in the order of CYC7_ROW_COEFFS, whose row is no multiple of 588
+    b = bundle(29)
+    rep = match_reconstruction(b.cyc7, b.sol, b.tu)
+    x1, x2, x3, x4, x5, x6 = b.sol.as_tuple()
+    sol = Sextuple(x1, x2, x3, x4 + 1, x5, x6)
+    first = next(ij for ij, row in CYC7_ROW_COEFFS.items()
+                 if row_value(row, 29, rep.t, rep.u_signed, sol) % 588)
+    assert first == (0, 2)
+    with pytest.raises(InvariantViolation,
+                       match=re.escape("(0,2) cell not divisible by 588 for p = 29")):
+        cyc7_from_solution(sol, rep.t, rep.u_signed, 29)
+    with pytest.raises(InvariantViolation, match=re.escape("(0,0) cell not divisible by 49")):
+        cyc7_from_solution(sol, rep.t + 1, rep.u_signed, 29)
 
 
 def test_generator_change_stays_in_orbit(bundle):
