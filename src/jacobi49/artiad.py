@@ -133,16 +133,7 @@ class Evidence:
     theorem3_adjusted_match: bool | None = None  # adjudicated t^7 form == actual
 
     def to_json(self) -> dict:
-        return {
-            "via_x": self.via_x,
-            "via_cubic": self.via_cubic,
-            "ind7_zero": self.ind7_zero,
-            "lemma4": self.lemma4,
-            "lemma5": self.lemma5,
-            "theorem3_match": self.theorem3_match,
-            "theorem3_hyper_match": self.theorem3_hyper_match,
-            "theorem3_adjusted_match": self.theorem3_adjusted_match,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

@@ -123,13 +123,7 @@ class DiophantineReport:
     aux2_x3_square: bool   # leading term 12*x3^2 plus the 24*x2*x4 cross term
 
     def to_json(self) -> dict:
-        return {
-            "norm": self.norm,
-            "aux1": self.aux1,
-            "aux2_stated": self.aux2_stated,
-            "aux2_x2_square": self.aux2_x2_square,
-            "aux2_x3_square": self.aux2_x3_square,
-        }
+        return dict(vars(self))
 
 
 def verify_diophantine(sol: Sextuple, p: int) -> DiophantineReport:
@@ -221,12 +215,7 @@ class ReconstructionReport:
     notes: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "matched": self.matched,
-            "t": self.t,
-            "u_signed": self.u_signed,
-            "notes": list(self.notes),
-        }
+        return {**vars(self), "notes": list(self.notes)}
 
 
 def match_reconstruction(cyc7: CycNumberTable, sol: Sextuple,

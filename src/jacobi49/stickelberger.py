@@ -33,7 +33,7 @@ Euclid starts from it and zeta - w0, at norm p^3 rather than p^6.
 from itertools import product
 from math import isqrt
 
-from .errors import InvariantViolation
+from .errors import InputError, InvariantViolation
 from .prime_field import seventh_root_of_unity
 
 # STICKELBERGER[n - 1]: the t in 1..6 with floor((1 + n) t / 7) - floor(n t / 7) = 1,
@@ -191,12 +191,15 @@ def jacobi_sums(p: int, gamma: int) -> list[tuple[int, ...]]:
     with zeta = 1 + l, sum c_k zeta^k = sum c_k + (sum k c_k) l mod l^2,
     and the classical congruence leaves the product +-1 mod l.  (1,4)
     and (1,5) lie in the six classes of (1,2) and (1,1), so J(1,4) =
-    J(1,2) and J(1,5) = J(1,1).
+    J(1,2) and J(1,5) = J(1,1).  A gamma whose (p-1)/7-th power is 1 is
+    no primitive root and has no j: InputError.
     """
     w0 = seventh_root_of_unity(p)
     pi = prime_above(p, w0)
     g = pow(gamma, (p - 1) // 7, p)
-    j = next(k for k in range(1, 7) if pow(w0, k, p) * g % p == 1)
+    j = next((k for k in range(1, 7) if pow(w0, k, p) * g % p == 1), None)
+    if j is None:
+        raise InputError(f"gamma = {gamma} is not a primitive root mod p = {p}")
     conjugates = [None] + [sigma(pi, k) for k in range(1, 7)]
     sums = []
     for ts in STICKELBERGER:

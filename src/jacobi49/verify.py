@@ -1,4 +1,4 @@
-"""The per-prime pipeline, run_prime, and the certificate records it emits.
+"""The per-prime pipeline, run_prime, its result, and the certificate records.
 
 run_prime builds a prime's tables once (prepare_prime) and reads from
 them, for n = 1 and for every n it verifies, one column per quantity:
@@ -6,9 +6,14 @@ the coefficient sets, S(n) off the order-49 table and mod 7 off the
 order-7 table, and J(1,n)_49 on three paths with its residue in
 F_7[t]/(t^8).  Each check is decided once: over n as a column (S
 agreement, the weak congruence, predicted vs actual, three-path
-agreement), or once for the prime.  The certificates are views of those
-columns.  verify_prime (one certificate per n) and classify_prime (the
-classification record, n = None) are its two entry points.
+agreement), or once for the prime.  It returns a PrimeResult, which
+holds the prime's block once (the sextuple, the t/u pair, the
+classification, the reconstruction and norm-equation records, the
+identity-suite verdict, the closed forms for n = 1 and the discrepancy
+texts of the prime's own checks) beside those columns.  Its records are
+views of it: record() is the classification record (n = None), which
+classify_prime returns, and certificates() holds one certificate per
+verified n, which verify_prime returns.
 
 A certificate is self-contained evidence for one (p, n) pair: the
 predicted and directly-computed congruence residues, every coefficient
@@ -19,15 +24,15 @@ coeffs.closed_form, not as discrepancies, so a nonempty discrepancy list
 always means something is actually wrong.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from . import artiad as artiad_mod
-from .congruence import (adjudicate_closed_forms, c7_closed_form_fitted,
-                         coefficient_sets, coeffs_closed_form, predicted_rows,
-                         s_direct_all, s_lemma_all)
+from .congruence import (ClosedFormAdjudication, ClosedFormCoeffs, adjudicate_closed_forms,
+                         c7_closed_form_fitted, coefficient_sets, coeffs_closed_form,
+                         predicted_rows, s_direct_all, s_lemma_all)
 from .cyclotomic_ring import Residue8, image_rows
 from .cyclotomy import (CycNumberTable, DicksonHurwitzTable, cyclotomic_numbers,
                         dickson_hurwitz, jacobi_rows, jacobi_rows_via_dh,
@@ -56,23 +61,15 @@ class Certificate:
     tu: TUPair
     classification: artiad_mod.Classification
     cross_checks: dict
-    discrepancies: tuple[str, ...] = field(default_factory=tuple)
+    discrepancies: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "gamma": self.gamma,
-            "n": self.n,
-            "predicted": None if self.predicted is None else self.predicted.to_json(),
-            "actual": None if self.actual is None else self.actual.to_json(),
-            "match": self.match,
-            "coeffs": self.coeffs,
-            "lw": self.lw.to_json(),
-            "tu": self.tu.to_json(),
-            "classification": self.classification.to_json(),
-            "cross_checks": self.cross_checks,
-            "discrepancies": list(self.discrepancies),
-        }
+        return {**vars(self),
+                "predicted": None if self.predicted is None else self.predicted.to_json(),
+                "actual": None if self.actual is None else self.actual.to_json(),
+                "lw": self.lw.to_json(), "tu": self.tu.to_json(),
+                "classification": self.classification.to_json(),
+                "discrepancies": list(self.discrepancies)}
 
 
 @dataclass(frozen=True)
@@ -114,8 +111,94 @@ def _fold(counts: np.ndarray) -> np.ndarray:
     return counts.reshape(7, 7, 7, 7).sum(axis=(0, 2))
 
 
-def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> list[Certificate]:
-    """The certificates of p: one per n in ns, or the classification record if ns is None.
+@dataclass(frozen=True)
+class PrimeResult:
+    """A prime's evidence: its per-prime block once, and one column per
+    quantity over rows, which are n = 1 and then the verified n.
+
+    The congruence columns (predicted, actual, match, weak, three_path)
+    hold None on every row when p != 1 (mod 49).  per_prime holds the
+    discrepancy texts of the checks made once for the prime.
+    """
+
+    p: int
+    gamma: int
+    lw: Sextuple
+    tu: TUPair
+    classification: artiad_mod.Classification
+    recon: ReconstructionReport
+    dio: DiophantineReport
+    suite_ok: bool | None                        # None unless n values are verified
+    closed: ClosedFormCoeffs | None              # the closed forms for n = 1 and
+    adjudication: ClosedFormAdjudication | None  # their verdicts, when 1 is verified
+    per_prime: tuple[str, ...]
+    coeffs: list             # the coefficient set of each row: its n, c_i and S(n)
+    s_lemmas: list
+    s_agree: list
+    predicted: list
+    actual: list
+    match: list
+    weak: list
+    three_path: list
+
+    def record(self) -> Certificate:
+        """The classification record: row 0, without the congruence part,
+        the identity-suite verdict or the closed forms.
+
+        When n values were verified, per_prime also holds the texts of the
+        checks that only verify makes (the direct pair count, its fold and
+        the identity suite).  Where those checks pass, this record equals
+        classify_prime's; whether it carries their texts where they fail is
+        for one bundle per scanned prime to decide.
+        """
+        return self._view(0, None)
+
+    def certificates(self) -> list[Certificate]:
+        """One certificate per verified n, in the order of ns."""
+        return [self._view(i, self.coeffs[i].n) for i in range(1, len(self.coeffs))]
+
+    def _view(self, i: int, n: int | None) -> Certificate:
+        """Row i as a record: a certificate of n, or the classification record if n is None."""
+        row = self.coeffs[i].n
+        verified = n is not None
+        match, weak, three_path = ((self.match[i], self.weak[i], self.three_path[i])
+                                   if verified else (None, None, None))
+        closed = n == 1
+        flags = []
+        if match is False:
+            flags.append(f"predicted residue differs from actual at n = {n}")
+        if weak is False:
+            flags.append("weak congruence J = -1 mod (1-zeta)^3 fails")
+        if self.s_agree[i] is False:
+            flags.append(f"S({row}) not divisible by 7 despite 7 | n" if row % 7 == 0
+                         else f"S({row}) direct and order-7 paths disagree")
+        if three_path is False:
+            flags.append(f"Jacobi sum paths disagree at n = {n}")
+        if closed and self.adjudication.unexplained_rows:
+            flags.append(f"closed-form rows {list(self.adjudication.unexplained_rows)} "
+                         f"fail beyond the known transcription defects")
+        return Certificate(
+            p=self.p, gamma=self.gamma, n=n,
+            predicted=self.predicted[i] if verified else None,
+            actual=self.actual[i] if verified else None, match=match,
+            coeffs={"definition": self.coeffs[i].to_json(),
+                    "closed_form": {"values": self.closed.to_json(),
+                                    "adjudication": self.adjudication.to_json()}
+                                   if closed else None,
+                    "s_paths": {"direct": self.coeffs[i].s_value, "lemma": self.s_lemmas[i],
+                                "agree_mod7": self.s_agree[i]}},
+            lw=self.lw, tu=self.tu, classification=self.classification,
+            cross_checks={"table_reconstruction": self.recon.to_json(),
+                          "diophantine": self.dio.to_json(),
+                          "identity_suite_ok": self.suite_ok if verified else None,
+                          "weak_congruence_ok": weak,
+                          "three_path_agree": three_path},
+            discrepancies=(*flags, *self.per_prime),
+        )
+
+
+def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> PrimeResult:
+    """The result of p over the rows n = 1, *ns; n = 1 alone if ns is None.
 
     Row 0 of every column is n = 1, which the classification reads; the
     other rows are the n in ns.  J(1,n)_49 is read off the order-49
@@ -183,55 +266,19 @@ def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> list[Cer
         (ev.via_x != ev.via_cubic, "artiad criteria disagree (x-test vs cubic roots)"),
     ) if failed)
 
-    closed_json, closed_flags = None, ()
+    closed = adjudication = None
     if ns and 1 in ns:
         closed = coeffs_closed_form(sol, p)
-        fitted = None
-        if recon.u_signed is not None:
-            fitted = c7_closed_form_fitted(sol, p, recon.u_signed)
-        adj = adjudicate_closed_forms(closed, coeffs[0], fitted)
-        closed_json = {"values": closed.to_json(), "adjudication": adj.to_json()}
-        if adj.unexplained_rows:
-            closed_flags = (f"closed-form rows {list(adj.unexplained_rows)} fail beyond "
-                            f"the known transcription defects",)
+        fitted = (None if recon.u_signed is None
+                  else c7_closed_form_fitted(sol, p, recon.u_signed))
+        adjudication = adjudicate_closed_forms(closed, coeffs[0], fitted)
 
-    recon_json, dio_json = recon.to_json(), bundle.dio.to_json()
-
-    def certificate(i: int) -> Certificate:
-        n = rows[i]
-        flags = []
-        if match[i] is False:
-            flags.append(f"predicted residue differs from actual at n = {n}")
-        if weak[i] is False:
-            flags.append("weak congruence J = -1 mod (1-zeta)^3 fails")
-        if s_agree[i] is False:
-            flags.append(f"S({n}) not divisible by 7 despite 7 | n" if n % 7 == 0
-                         else f"S({n}) direct and order-7 paths disagree")
-        if three_path[i] is False:
-            flags.append(f"Jacobi sum paths disagree at n = {n}")
-        if n == 1:
-            flags.extend(closed_flags)
-        return Certificate(
-            p=p, gamma=ctx.gamma, n=None if ns is None else n,
-            predicted=predicted[i], actual=actual[i], match=match[i],
-            coeffs={"definition": coeffs[i].to_json(),
-                    "closed_form": closed_json if n == 1 else None,
-                    "s_paths": {"direct": s_values[i], "lemma": s_lemmas[i],
-                                "agree_mod7": s_agree[i]}},
-            lw=sol, tu=bundle.tu, classification=classification,
-            cross_checks={"table_reconstruction": recon_json,
-                          "diophantine": dio_json,
-                          "identity_suite_ok": suite_ok,
-                          "weak_congruence_ok": weak[i],
-                          "three_path_agree": three_path[i]},
-            discrepancies=tuple(flags) + per_prime,
-        )
-
-    if ns is None:
-        # the classification record: the S paths of n = 1, no congruence part
-        predicted = actual = match = weak = three_path = [None]
-        return [certificate(0)]
-    return [certificate(i) for i in range(1, len(rows))]
+    return PrimeResult(
+        p=p, gamma=ctx.gamma, lw=sol, tu=bundle.tu, classification=classification,
+        recon=recon, dio=bundle.dio, suite_ok=suite_ok, closed=closed,
+        adjudication=adjudication, per_prime=per_prime, coeffs=coeffs,
+        s_lemmas=s_lemmas, s_agree=s_agree, predicted=predicted, actual=actual,
+        match=match, weak=weak, three_path=three_path)
 
 
 def verify_prime(p: int, gamma: int | None = None,
@@ -243,7 +290,7 @@ def verify_prime(p: int, gamma: int | None = None,
     bad = [n for n in ns if not 1 <= n <= 48]
     if bad:
         raise InputError(f"n values out of range 1..48: {bad}")
-    return run_prime(p, gamma, ns)
+    return run_prime(p, gamma, ns).certificates()
 
 
 def classify_prime(p: int, gamma: int | None = None) -> Certificate:
@@ -255,4 +302,4 @@ def classify_prime(p: int, gamma: int | None = None) -> Certificate:
     the order-49 table, whose fold to order 7 is checked against the
     order-7 table; otherwise no pass over F_p is made.
     """
-    return run_prime(p, gamma, None)[0]
+    return run_prime(p, gamma, None).record()

@@ -112,6 +112,55 @@ def test_classify_exits_1_on_discrepancy(monkeypatch, capsys):
         "artiad criteria disagree (x-test vs cubic roots)"]
 
 
+def _off_by_one_prediction(monkeypatch):
+    # fault injection: the predicted t^7 coefficient is 1 too high (mod 7) at
+    # every n prime to 7, so those 42 n of a prime miss the actual residue
+    from jacobi49 import verify
+    real = verify.predicted_rows
+
+    def shifted(sets):
+        rows = real(sets)
+        for row, cs in zip(rows, sets):
+            if cs.n % 7:
+                row[7] = (row[7] + 1) % 7
+        return rows
+
+    monkeypatch.setattr(verify, "predicted_rows", shifted)
+
+
+def test_verify_exits_1_on_mismatch(monkeypatch, capsys):
+    _off_by_one_prediction(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--prime", "197", "--all-n")
+    assert code == 1
+    missed = [c for c in json.loads(out) if c["match"] is False]
+    assert [c["n"] for c in missed] == [n for n in range(1, 49) if n % 7]
+    for c in missed:
+        assert f"predicted residue differs from actual at n = {c['n']}" in c["discrepancies"]
+    # classify has no congruence part to miss
+    assert run_cli(capsys, "classify", "--prime", "197")[0] == 0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_exits_1_on_mismatch(tmp_path, monkeypatch, capsys, fmt, jobs):
+    _off_by_one_prediction(monkeypatch)
+    out_file = tmp_path / f"r.{fmt}"
+    code, out, _ = run_cli(capsys, "scan", "--min", "190", "--max", "500", "--modulus", "49",
+                           "--all-n", "--format", fmt, "--jobs", jobs,
+                           "--output", str(out_file))
+    assert code == 1
+    assert "scanned 2 primes, 84 mismatches, 84 discrepancy flags" in out
+    if fmt == "json":
+        report = json.loads(out_file.read_text())
+        assert report["summary"]["mismatches"] == 84
+        assert len(report["summary"]["discrepancy_flags"]) == 84
+        matches = [c["match"] for c in report["certificates"]]
+    else:
+        with open(out_file, newline="") as fh:
+            matches = [row["match"] for row in csv.DictReader(fh)]
+    assert matches.count(False if fmt == "json" else "False") == 84
+
+
 def test_classify_wrong_class(capsys):
     code, _, err = run_cli(capsys, "classify", "--prime", "23")
     assert code == 2

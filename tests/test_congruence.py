@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -446,6 +447,38 @@ def test_verify_and_classify_share_one_step(p):
             assert cert["cross_checks"][key] == cls["cross_checks"][key], (cert["n"], key)
     assert certs[0]["n"] == 1
     assert certs[0]["coeffs"]["s_paths"] == cls["coeffs"]["s_paths"]
+
+
+@pytest.mark.parametrize("p", [197, 491, 60271, 1000679])
+def test_one_result_holds_the_classification_record(p):
+    # The result of a verify run holds the classification record too, so one
+    # bundle per scanned prime (ROADMAP item 3) can serve both.  Here every
+    # check passes.  Where a check only verify makes fails (the direct pair
+    # count, its fold, the identity suite), whether the record carries its
+    # text is for that change to decide.
+    record = verify.run_prime(p, None, verify.ALL_N).record()
+    assert record.to_json() == classify_prime(p).to_json()
+
+
+def test_certificates_share_the_per_prime_block():
+    certs = verify_prime(197)
+    assert len(certs) == 48
+    for key in ("lw", "tu", "classification"):
+        assert len({id(getattr(cert, key)) for cert in certs}) == 1, key
+
+
+def test_records_declare_their_json_once():
+    # each record's JSON holds its own fields, in declaration order, and is a
+    # copy: changing it leaves the record as it was
+    cert = verify_prime(197, ns=(1,))[0]
+    bundle = prepare_prime(197)
+    for record in (cert, cert.classification.evidence, bundle.dio, bundle.recon):
+        names = [f.name for f in dataclasses.fields(record)]
+        assert list(record.to_json()) == names, type(record)
+        before = record.to_json()
+        record.to_json().update(dict.fromkeys(names, "changed"))
+        assert record.to_json() == before, type(record)
+        assert all(getattr(record, name) != "changed" for name in names)
 
 
 def _count_calls(monkeypatch):

@@ -14,7 +14,7 @@ from jacobi49 import _kernels, stickelberger
 from jacobi49.cli import primes_in_range
 from jacobi49.cyclotomic_ring import CyclotomicInt
 from jacobi49.cyclotomy import CycNumberTable, jacobi_rows
-from jacobi49.errors import InvariantViolation
+from jacobi49.errors import InputError, InvariantViolation
 from jacobi49.prime_field import build_ctx, find_generator, seventh_root_of_unity
 from oracles import apply_automorphism, second_generator
 
@@ -40,6 +40,14 @@ def test_jacobi_sums_match_the_pair_counts_below_20000():
 def test_jacobi_sums_match_the_pair_counts_large(p):
     for gamma in (find_generator(p), second_generator(p)):
         assert stickelberger.jacobi_sums(p, gamma) == counted_sums(p, gamma), (p, gamma)
+
+
+def test_jacobi_sums_rejects_a_seventh_power_as_generator():
+    # 3^((p-1)/7) = 1 mod 4500007: no seventh root of unity w0^j matches it,
+    # and the search for j must say so, not end a caller's map early
+    assert pow(3, (4500007 - 1) // 7, 4500007) == 1
+    with pytest.raises(InputError, match="gamma = 3 is not a primitive root mod p = 4500007"):
+        stickelberger.jacobi_sums(4500007, 3)
 
 
 def test_stickelberger_sets_and_inverses():
