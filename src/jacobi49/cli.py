@@ -12,23 +12,22 @@ included), 2 invalid input or an unusable output path or stdout.
 
 Reports are deterministic for a fixed configuration independent of the
 worker count; the only field that varies between runs is runtime_seconds.
-Every JSON byte the CLI writes comes from one writer, _json_text: the C
-encoder's compact text, indented by one numpy pass to the bytes of
-json.dumps(obj, indent=2).  A scan computes in at most --jobs processes:
-with more than one, a pool of them computes and the parent only submits
-primes and gathers results, with at most _WINDOW primes per pool process
-pending (_scan_results), so the primes pending at once do not grow in
-number with the range.  Each
-prime's records are encoded by the process that computes them, all in
-one call; the parent gathers the encoded text in p order into one buffer
-and writes it between the report's header and its runtime, with the
-same bytes that one json.dump(report, indent=2) or csv.writer over all
-records would give.  Beside its text each prime yields its summary: its
-kind, its number of mismatches and its discrepancy texts.  The parent
-adds each into the report's summary as the prime arrives, so it keeps
-nothing per record.  verify and classify write
-their text to stdout in one write; if stdout cannot take it they exit 2,
-as scan does for its report path.
+verify and classify write json.dumps(obj, indent=2); a scan writes its
+JSON report compactly, with the C encoder (_COMPACT), as whitespace
+carries no data and would double the report.  A scan computes in at
+most --jobs processes: with more than one, a pool of them computes and
+the parent only submits primes and gathers results, with at most _WINDOW
+primes per pool process pending (_scan_results), so the primes pending
+at once do not grow in number with the range.  Each prime's records are
+encoded by the process that computes them, all in one call; the parent
+gathers the encoded text in p order into one buffer and writes it
+between the report's header and its runtime, with the same bytes that
+one compact json.dump(report) or csv.writer over all records would give.
+Beside its text each prime yields its summary: its kind, its number of
+mismatches and its discrepancy texts.  The parent adds each into the
+report's summary as the prime arrives, so it keeps nothing per record.
+verify and classify write their text to stdout in one write; if stdout
+cannot take it they exit 2, as scan does for its report path.
 """
 
 import argparse
@@ -42,8 +41,6 @@ import stat
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
 
 from . import __version__
 from .errors import DomainError, InputError
@@ -70,81 +67,9 @@ def primes_in_range(lo: int, hi: int, modulus: int) -> list[int]:
     return [p for p in range(first, hi + 1, modulus) if sieve[p]]
 
 
-# The C encoder writes compact text only; _json_text indents it.  Reports
-# hold no cycles, so it keeps no record of the containers it is inside.
-_COMPACT = json.JSONEncoder(separators=(",", ": "), check_circular=False)
-# bytes.translate table: 1 for a quote, bracket or comma, else 0
-_MARKED = bytes(int(b in b'"[]{},') for b in range(256))
-_STEP = np.zeros(256, dtype=np.int8)  # the nesting step of each byte
-_STEP[list(b"[{")] = 1
-_STEP[list(b"]}")] = -1
-
-
-def _json_text(obj, level: int = 0) -> str:
-    """json.dumps(obj, indent=2), with 2*level more spaces after every newline.
-
-    The C encoder writes obj compactly, as ASCII, and one pass over its
-    bytes puts in the line breaks and indents that indent=2 adds.
-    """
-    raw = _COMPACT.encode(obj).encode()
-    gap, depth = _line_breaks(raw)
-    if not gap.size:
-        return raw.decode()
-    return str(_indented(raw, gap, depth, level), "ascii")
-
-
-def _line_breaks(raw: bytes):
-    """The gaps of compact JSON text where indent=2 breaks the line, and
-    the nesting depth after each, as int32.
-
-    A gap follows every opener and comma and precedes every closer outside
-    strings, except inside an empty [] or {}.  A quote is part of a string
-    when a backslash escape starts right before it: pairs of backslashes,
-    each an escaped backslash, are blanked first.
-    """
-    data = np.frombuffer(raw, dtype=np.uint8)
-    at = np.flatnonzero(np.frombuffer(raw.translate(_MARKED), dtype=np.bool_))
-    byte = data[at]
-    quote = byte == ord('"')
-    if b"\\" in raw:
-        # a quote at 0 opens a top-level string: the byte read at -1 is its close
-        plain = np.frombuffer(raw.replace(b"\\\\", b"\x01\x01"), dtype=np.uint8)
-        quote[quote] = plain[at[quote] - 1] != ord("\\")
-    # outside strings an even number of quotes precedes a byte
-    keep = np.logical_xor.accumulate(quote)
-    np.logical_not(keep, out=keep)
-    keep &= byte != ord('"')
-    gap = at[keep].astype(np.int32)
-    step = _STEP[byte[keep]]
-    depth = np.cumsum(step, dtype=np.int32)
-    gap += step >= 0  # after an opener or a comma, before a closer
-    # an empty container's opener and closer break the same gap: neither does
-    lone = np.ones(gap.size, dtype=np.bool_)
-    lone[1:] = gap[1:] != gap[:-1]
-    lone[:-1] &= lone[1:]
-    return gap[lone], depth[lone]
-
-
-def _indented(raw: bytes, gap, depth, level: int):
-    """raw with a newline and 2*(depth + level) spaces put in at each gap,
-    as a uint8 array."""
-    width = depth + level
-    width *= 2
-    width += 1
-    end = np.cumsum(width, dtype=np.int32)
-    out = np.full(len(raw) + int(end[-1]), ord(" "), dtype=np.uint8)
-    end += gap  # a gap's run ends where the byte after the gap lands
-    start = end - width  # and starts with its newline
-    # True on raw's bytes: on at 0, off at each run's start, on at its end;
-    # no run starts at 0 or where another ends, as a byte of raw follows each
-    keep = np.zeros(out.size, dtype=np.bool_)
-    keep[0] = True
-    keep[start] = True
-    keep[end] = True
-    np.logical_xor.accumulate(keep, out=keep)
-    out[keep] = np.frombuffer(raw, dtype=np.uint8)
-    out[start] = ord("\n")
-    return out
+# The scan report's one JSON writer: the C encoder, compact.  Reports hold
+# no cycles, so it keeps no record of the containers it is inside.
+_COMPACT = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def _write_stdout(text: str) -> bool:
@@ -169,14 +94,14 @@ def _write_stdout(text: str) -> bool:
 def cmd_verify(args) -> int:
     certs = verify_prime(args.prime, gamma=args.generator,
                          ns=None if args.all_n else (1,))
-    if not _write_stdout(_json_text([c.to_json() for c in certs]) + "\n"):
+    if not _write_stdout(json.dumps([c.to_json() for c in certs], indent=2) + "\n"):
         return EXIT_USAGE
     return EXIT_MISMATCH if any(c.discrepancies for c in certs) else EXIT_OK
 
 
 def cmd_classify(args) -> int:
     cert = classify_prime(args.prime, gamma=args.generator)
-    if not _write_stdout(_json_text(cert.to_json()) + "\n"):
+    if not _write_stdout(json.dumps(cert.to_json(), indent=2) + "\n"):
         return EXIT_USAGE
     return EXIT_MISMATCH if cert.discrepancies else EXIT_OK
 
@@ -187,10 +112,10 @@ def _scan_one(task) -> tuple[tuple[str, int, list[str]], bytes]:
     The summary is (kind, mismatches, flags): the prime's classification,
     the number of its records whose predicted residue misses, and a text
     "p=... n=...: ..." per discrepancy, in record order.  The text is
-    ASCII: for json the records as they sit in the report's certificates
-    list, encoded in one _json_text call, for csv their rows.  The
-    classification record comes first, then n in ascending order, so
-    records are in report order without a sort.
+    ASCII: for json the records as they sit, comma-separated, in the
+    compact report's certificates list, encoded in one call, for csv
+    their rows.  The classification record comes first, then n in
+    ascending order, so records are in report order without a sort.
     """
     p, all_n, fmt = task
     certs = [classify_prime(p)]
@@ -201,9 +126,8 @@ def _scan_one(task) -> tuple[tuple[str, int, list[str]], bytes]:
                [f"p={p} n={c.n}: {d}" for c in certs for d in c.discrepancies])
     if fmt == "csv":
         return summary, _csv_text(map(_csv_row, certs)).encode()
-    # The records sit one level deep in the report, in its certificates
-    # list: their list at level 1, less its "[\n" and "\n  ]", is their text.
-    return summary, _json_text([c.to_json() for c in certs], 1)[2:-4].encode()
+    # in the report's certificates list: their list, less its brackets
+    return summary, _COMPACT.encode([c.to_json() for c in certs])[1:-1].encode()
 
 
 _CSV_COLUMNS = (["p", "gamma", "n", "match", "kind"]
@@ -266,7 +190,7 @@ def _scan_report(args) -> tuple[int, dict, bytearray]:
     start = time.monotonic()
     primes = primes_in_range(args.min, args.max, args.modulus)
     tasks = [(p, args.all_n, args.format) for p in primes]
-    sep = b"" if args.format == "csv" else b",\n"
+    sep = b"" if args.format == "csv" else b","
     summary = {"ordinary": 0, "artiad": 0, "hyperartiad": 0, "mismatches": 0,
                "discrepancy_flags": [], "first_artiad": None}
     body = bytearray()
@@ -299,20 +223,17 @@ def _scan_report(args) -> tuple[int, dict, bytearray]:
 
 
 def _write_report(fh, fmt: str, report: dict, body: bytearray) -> None:
-    """The report as json.dump(..., indent=2) or csv.writer would write it,
-    with body, the encoded records, in place of its empty certificates."""
+    """The report as one compact json.dump or csv.writer would write it,
+    with body, the encoded records, in its empty certificates list."""
     if fmt == "csv":
         fh.write(_csv_text([_CSV_COLUMNS]).encode())
         fh.write(body)
         return
     # The empty list's bracket is the one place the records go: any other
-    # '"certificates": [' in the text would hold an unescaped quote.
-    head, bracket, tail = _json_text(report).partition('"certificates": [')
+    # '"certificates":[' in the text would hold an unescaped quote.
+    head, bracket, tail = _COMPACT.encode(report).partition('"certificates":[')
     fh.write((head + bracket).encode())
-    if body:
-        fh.write(b"\n")
-        fh.write(body)
-        fh.write(b"\n  ")
+    fh.write(body)
     fh.write((tail + "\n").encode())
 
 

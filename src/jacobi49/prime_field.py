@@ -42,6 +42,9 @@ MAX_PRIME = 10**7
 CLASS_MODULUS = 49
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Below this the witnesses 2, 3, 5 and 7 alone are deterministic: it is
+# the least strong pseudoprime to all four (Jaeschke 1993).
+_FOUR_WITNESSES_BELOW = 3215031751
 
 
 def is_prime(n: int) -> bool:
@@ -56,7 +59,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:4] if n < _FOUR_WITNESSES_BELOW else _MR_WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -71,13 +74,17 @@ def is_prime(n: int) -> bool:
 
 def _prime_factors(n: int) -> list[int]:
     out = []
-    d = 2
+    if n % 2 == 0:
+        out.append(2)
+        while n % 2 == 0:
+            n //= 2
+    d = 3
     while d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 2
     if n > 1:
         out.append(n)
     return out
@@ -96,6 +103,11 @@ def find_generator(p: int) -> int:
     """Smallest primitive root modulo the odd prime p (smallest for determinism)."""
     if not is_prime(p) or p == 2:
         raise InputError(f"{p} is not an odd prime")
+    return _smallest_generator(p)
+
+
+def _smallest_generator(p: int) -> int:
+    """Smallest primitive root modulo p, which must be an odd prime."""
     factors = _prime_factors(p - 1)
     for g in range(2, p):
         if _generates(g, p, factors):
@@ -178,7 +190,7 @@ def build_ctx(p: int, gamma: int | None = None) -> FieldContext:
     if p > MAX_PRIME:
         raise InputError(f"p = {p} exceeds the supported bound {MAX_PRIME}")
     if gamma is None:
-        gamma = find_generator(p)
+        gamma = _smallest_generator(p)
     else:
         gamma = gamma % p
         if not is_primitive_root(gamma, p):

@@ -117,8 +117,10 @@ class PrimeResult:
     quantity over rows, which are n = 1 and then the verified n.
 
     The congruence columns (predicted, actual, match, weak, three_path)
-    hold None on every row when p != 1 (mod 49).  per_prime holds the
-    discrepancy texts of the checks made once for the prime.
+    hold None on every row when p != 1 (mod 49), and all but actual also
+    when no n value is verified: record() reads actual[0] and coeffs[0]
+    alone.  per_prime holds the discrepancy texts of the checks made once
+    for the prime.
     """
 
     p: int
@@ -241,8 +243,9 @@ def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> PrimeRes
             direct[np.equal(rows, 1)] = jacobi_rows(counted, 1, (1,))
             suite_ok = not identity_suite(cyc49)
         images = image_rows(direct)
-        predicted_images = predicted_rows(coeffs)
         actual = [Residue8(tuple(image)) for image in images.tolist()]
+    if dh49 is not None and ns:
+        predicted_images = predicted_rows(coeffs)
         predicted = [Residue8(tuple(image)) for image in predicted_images.tolist()]
         match = (predicted_images == images).all(axis=1).tolist()
         # the weak classical congruence J = -1 mod (1 - zeta)^3

@@ -236,7 +236,7 @@ def test_index_of_large_prime(p):
 
 # Cross-checks against an independent implementation; skipped without sympy.
 
-_PSEUDOPRIMES = (561, 1105, 1729, 2047, 3215031751, 2152302898747,
+_PSEUDOPRIMES = (561, 1105, 1729, 2047, 25326001, 3215031751, 2152302898747,
                  3825123056546413051)
 
 

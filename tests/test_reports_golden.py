@@ -5,9 +5,15 @@ that varies between runs, runtime_seconds in a JSON scan report, is cut
 out before hashing.  A change to any certificate field, to the order of
 the records or to the serialisation changes a hash here, so a refactor
 that claims to leave the reports alone is checked by this file.
+
+A JSON scan report is compact.  Its pin in GOLDEN_SCAN and
+GOLDEN_SCAN_MORE hashes its content, re-encoded with indent=2: the bytes
+such reports had when the scan wrote them indented.  GOLDEN_SCAN_COMPACT
+pins the compact bytes themselves.
 """
 
 import hashlib
+import json
 import re
 
 import pytest
@@ -49,6 +55,9 @@ GOLDEN = {
 }
 
 SCAN = ("scan", "--min", "190", "--max", "2000", "--modulus", "49", "--all-n")
+SCAN_MORE = ("scan", "--min", "300", "--max", "400", "--modulus", "49")
+SCAN_197 = ("scan", "--min", "197", "--max", "197", "--modulus", "49", "--all-n")
+SCAN_14 = ("scan", "--min", "190", "--max", "3000", "--modulus", "14")
 
 GOLDEN_SCAN = {
     "json": "7a184e9319c6e5221191c8de4ec875446c133a04cffb109e451024bc6a3fe062",
@@ -58,19 +67,29 @@ GOLDEN_SCAN = {
 # Scans pinned on the writer that encoded the whole report in the parent
 # process, before records were encoded in the pool workers.
 GOLDEN_SCAN_MORE = {
-    (("scan", "--min", "300", "--max", "400", "--modulus", "49"), "json"):
+    (SCAN_MORE, "json"):
         "9beae5cab99458b36dbc35d4d0a05296e8090b15cfa0265087b39dd3fb334496",
-    (("scan", "--min", "197", "--max", "197", "--modulus", "49", "--all-n"), "json"):
+    (SCAN_197, "json"):
         "992cc808d8a0848576b91cb7be8a81fdf453bd25a738d3dc683e613c911eee77",
-    (("scan", "--min", "197", "--max", "197", "--modulus", "49", "--all-n"), "csv"):
+    (SCAN_197, "csv"):
         "80b83681d2500636f56eb4835c050f6c67676aafa134dc35c32340addf750ba2",
-    (("scan", "--min", "190", "--max", "3000", "--modulus", "14"), "json"):
+    (SCAN_14, "json"):
         "6fbe2d1c233c387ee0d47e2afc1ed25e80239b3a6db964507fe86727437592f0",
-    (("scan", "--min", "190", "--max", "3000", "--modulus", "14"), "csv"):
+    (SCAN_14, "csv"):
         "6ac734323211b7658c2dea3fe2cf3750dc7947f7a6c4ba318d14a72f1a22d969",
 }
 
+# The compact bytes of each JSON scan above, runtime_seconds cut: they
+# equal the compact re-encoding of the content its pin there hashes.
+GOLDEN_SCAN_COMPACT = {
+    SCAN: "f39e9730209d016f1160d2d229c84d18fcedb354ad805882ab408fd61e6423df",
+    SCAN_MORE: "70454f013d91fad0eea870ba0b9ef0b77eba5c4f9b15895935df33ddc2db4f16",
+    SCAN_197: "5a7259be3b1709959d2836aaa00db627bb80ce2b0ac89fc7cd6ba04e474cf055",
+    SCAN_14: "4b595d56b13e256019b92fb9d8d43dcb4a2f802ba29de944670bd8549a44b888",
+}
+
 _RUNTIME = re.compile(rb'\n *"runtime_seconds": [^\n]*')
+_COMPACT_RUNTIME = re.compile(rb',"runtime_seconds":[0-9.]+')
 
 
 def stdout_digest(capsys, argv) -> str:
@@ -78,13 +97,21 @@ def stdout_digest(capsys, argv) -> str:
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
+def _cut_digest(pattern, data: bytes) -> str:
+    data, n = pattern.subn(b"", data)
+    assert n == 1
+    return hashlib.sha256(data).hexdigest()
+
+
 def scan_digest(path, fmt, argv=SCAN, jobs="1") -> str:
+    """The digest of the report, of its content re-encoded with indent=2
+    for json; for json the digest of its compact bytes is checked too."""
     assert main([*argv, "--format", fmt, "--jobs", jobs, "--output", str(path)]) == 0
     data = path.read_bytes()
-    if fmt == "json":
-        data, n = _RUNTIME.subn(b"", data)
-        assert n == 1
-    return hashlib.sha256(data).hexdigest()
+    if fmt == "csv":
+        return hashlib.sha256(data).hexdigest()
+    assert _cut_digest(_COMPACT_RUNTIME, data) == GOLDEN_SCAN_COMPACT[argv]
+    return _cut_digest(_RUNTIME, (json.dumps(json.loads(data), indent=2) + "\n").encode())
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
