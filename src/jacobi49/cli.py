@@ -18,11 +18,13 @@ carries no data and would double the report.  A scan computes in at
 most --jobs processes: with more than one, a pool of them computes and
 the parent only submits primes and gathers results, with at most _WINDOW
 primes per pool process pending (_scan_results), so the primes pending
-at once do not grow in number with the range.  Each prime's records are
-encoded by the process that computes them, all in one call; the parent
-gathers the encoded text in p order into one buffer and writes it
-between the report's header and its runtime, with the same bytes that
-one compact json.dump(report) or csv.writer over all records would give.
+at once do not grow in number with the range.  A scanned prime's records
+come from one field context (_scan_one), so a p = 1 (mod 49) makes
+three passes over F_p.  Each prime's records are encoded by the process
+that computes them, all in one call; the parent gathers the encoded
+text in p order into one buffer and writes it between the report's
+header and its runtime, with the same bytes that one compact
+json.dump(report) or csv.writer over all records would give.
 Beside its text each prime yields its summary: its kind, its number of
 mismatches and its discrepancy texts.  The parent adds each into the
 report's summary as the prime arrives, so it keeps nothing per record.
@@ -42,11 +44,11 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from . import __version__
+from . import __version__, verify
 from .errors import DomainError, InputError
-from .prime_field import MAX_PRIME, is_prime
+from .prime_field import MAX_PRIME, build_ctx, is_prime
 from .selfcheck import run_selfchecks
-from .verify import Certificate, classify_prime, verify_prime
+from .verify import ALL_N, Certificate, classify_prime, verify_prime
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -116,11 +118,21 @@ def _scan_one(task) -> tuple[tuple[str, int, list[str]], bytes]:
     compact report's certificates list, encoded in one call, for csv
     their rows.  The classification record comes first, then n in
     ascending order, so records are in report order without a sort.
+
+    The records are classify_prime's and verify_prime's, from two runs on
+    one field context: run_prime(ctx, None).record() and, at p = 1
+    (mod 49), run_prime(ctx, ns).certificates().  The generator, the
+    order-7 Jacobi sums and the factorials are the context's, computed
+    once for both runs, so such a prime makes three passes over F_p: the
+    factorials, the class table and its pair count.  run_prime is looked
+    up in verify at each call, so a replacement of verify.run_prime
+    reaches the scan as it reaches classify_prime and verify_prime.
     """
     p, all_n, fmt = task
-    certs = [classify_prime(p)]
-    if (p - 1) % 49 == 0:
-        certs.extend(verify_prime(p, ns=None if all_n else (1,)))
+    ctx = build_ctx(p)
+    certs = [verify.run_prime(ctx, None).record()]
+    if ctx.m == 49:
+        certs.extend(verify.run_prime(ctx, ALL_N if all_n else (1,)).certificates())
     summary = (certs[0].classification.kind,
                sum(c.match is False for c in certs),
                [f"p={p} n={c.n}: {d}" for c in certs for d in c.discrepancies])

@@ -13,8 +13,8 @@ The package has five routes to a Jacobi sum J(1,n)_e:
     Gauss-Jacobi binomial congruence gives from factorials mod p
     (jacobi_images),
   * for e = 7, Stickelberger's relation on a generator of a prime of
-    Z[zeta_7] above p (stickelberger.jacobi_sums), which jacobi_images
-    maps into F_p the same way.
+    Z[zeta_7] above p (stickelberger.jacobi_sums, kept as ctx.jacobi7),
+    which jacobi_images maps into F_p the same way.
 
 The table itself is built from the images (cyclotomic_numbers): every
 cell lies in [0, p), so its residue, an inverse Fourier transform of the
@@ -110,8 +110,8 @@ def jacobi_images(ctx: FieldContext, e: int) -> np.ndarray:
     """The images of J(i,j)_e, i, j = 0..e-1, in F_p under zeta -> gamma^f; e | ctx.m.
 
     The route is chosen by e alone.  For e = 7 the cells with i, j and
-    i + j nonzero come from the exact J(1,n)_7 of
-    stickelberger.jacobi_sums, as J(i,j) = sigma_i(J(1, j/i)) at
+    i + j nonzero come from the exact J(1,n)_7 of ctx.jacobi7
+    (Stickelberger's relation), as J(i,j) = sigma_i(J(1, j/i)) at
     zeta = g = gamma^f, i.e. J(1, j/i) at g^i: no pass over F_p is made.
 
     For e = 49 they come from ctx.factorials.  With f = (p - 1)/e the map
@@ -132,7 +132,7 @@ def jacobi_images(ctx: FieldContext, e: int) -> np.ndarray:
     i, j, k, above, on = _image_grid(e)
     if e == 7:
         sums = np.zeros((7, 6), dtype=np.int64)  # row n: J(1,n)_7, n = 1..5
-        sums[1:6] = stickelberger.jacobi_sums(p, ctx.gamma)
+        sums[1:6] = ctx.jacobi7
         g = pow(ctx.gamma, f, p)
         powers = np.array([pow(g, a, p) for a in range(7)], dtype=np.int64)
         exponents = _fourier_exponents(7)

@@ -1,21 +1,25 @@
-"""Prime-field context: primality, primitive roots, factorials and the class table.
+"""Prime-field context: primality, primitive roots and the per-prime field tables.
 
 ind(a) is the discrete logarithm of a with respect to a fixed primitive
 root gamma, i.e. gamma**ind(a) == a (mod p).  Every multiplicative
 character used elsewhere in the package has order 7 or 49, so it depends
 on ind(a) only mod m = gcd(p - 1, 49).  The context is built once per
-prime and shared read-only.  It holds two per-prime tables, each built
-on first use and then kept:
+prime and shared read-only: a scanned prime's classification and its
+verification read one context, so each of its tables is built once for
+both.  It holds three per-prime tables, each built on first use and then
+kept:
 
+  * jacobi7, the exact J(1,n)_7 for n = 1..5 by Stickelberger's relation
+    on a generator of a prime of Z[zeta_7] above p
+    (stickelberger.jacobi_sums), from which the cyclotomic numbers of
+    order 7 are computed at every p = 1 (mod 14), with no pass over F_p;
   * factorials, (k (p-1)/m)! mod p for k = 0..m-1, from which the
     cyclotomic numbers of order 49 are computed when m = 49
     (cyclotomy.cyclotomic_numbers).  By Legendre's formula n! is
     2^v2 3^v3 times the products of the integers prime to 6 up to
     floor(n/s), s = 2^a 3^b, so one walk over a third of the integers up
     to ((m - 1)/2)(p-1)/m gives the lower half, and Wilson's theorem the
-    upper.  The order-7 numbers never read it: at every p they come from
-    Stickelberger's relation (stickelberger.jacobi_sums), with no pass
-    over F_p;
+    upper.  The order-7 numbers never read it;
   * classes, ind(a) mod m as one uint8 per field element, which only
     the direct counts read: the pair count that checks the cyclotomic
     numbers in verification, and the direct character sums.
@@ -134,8 +138,9 @@ def seventh_root_of_unity(p: int) -> int:
 class FieldContext:
     """Immutable per-prime context: p, the chosen generator and m = gcd(p - 1, 49).
 
-    factorials and classes are computed on first access, at most once
-    per context, and are read-only.
+    jacobi7, factorials and classes are computed on first access, at most
+    once per context, and are read-only; every reader of the prime that
+    shares the context shares them.
     """
 
     p: int
@@ -148,6 +153,14 @@ class FieldContext:
             raise InputError(f"{e} does not divide m = gcd(p - 1, {CLASS_MODULUS}) "
                              f"= {self.m}")
         return (self.p - 1) // e
+
+    @cached_property
+    def jacobi7(self) -> tuple[tuple[int, ...], ...]:
+        """J(1,n)_7 for n = 1..5 and this generator, as stickelberger.jacobi_sums
+        gives them; it requires m = 7 or 49 and makes no pass over F_p."""
+        from . import stickelberger  # imported here: stickelberger imports this module
+
+        return tuple(stickelberger.jacobi_sums(self.p, self.gamma))
 
     @cached_property
     def factorials(self) -> np.ndarray:

@@ -1,7 +1,8 @@
 """The per-prime pipeline, run_prime, its result, and the certificate records.
 
-run_prime builds a prime's tables once (prepare_prime) and reads from
-them, for n = 1 and for every n it verifies, one column per quantity:
+run_prime takes a prime's field context (prime_field.build_ctx), builds
+the prime's tables and runs its checks once (prepare_prime), and reads
+from them, for n = 1 and for every n it verifies, one column per quantity:
 the coefficient sets, S(n) off the order-49 table and mod 7 off the
 order-7 table, and J(1,n)_49 on three paths with its residue in
 F_7[t]/(t^8).  Each check is decided once: over n as a column (S
@@ -13,7 +14,11 @@ identity-suite verdict, the closed forms for n = 1 and the discrepancy
 texts of the prime's own checks) beside those columns.  Its records are
 views of it: record() is the classification record (n = None), which
 classify_prime returns, and certificates() holds one certificate per
-verified n, which verify_prime returns.
+verified n, which verify_prime returns.  Those two check their input and
+build the context themselves.  The field's data, the order-7 Jacobi sums,
+the factorials and the class table, sit on the context and are computed
+on first use, so runs that share a context compute each of them once: a
+scan classifies and verifies a prime from one context (cli._scan_one).
 
 A certificate is self-contained evidence for one (p, n) pair: the
 predicted and directly-computed congruence residues, every coefficient
@@ -87,11 +92,15 @@ class PrimeBundle:
     dh49: DicksonHurwitzTable | None = None
 
 
-def prepare_prime(p: int, gamma: int | None = None) -> PrimeBundle:
-    """Build tables, extract the sextuple, and run the per-prime checks."""
-    if (p - 1) % 14 != 0:
-        raise InputError(f"p = {p} is not 1 (mod 14)")
-    ctx = build_ctx(p, gamma)
+def prepare_prime(ctx: FieldContext) -> PrimeBundle:
+    """The bundle of ctx's prime: its tables, its sextuple and its per-prime checks.
+
+    The tables are built from ctx's field data, computed on first use and
+    kept on ctx, so a second bundle of one context makes no pass over F_p.
+    ctx.p must be 1 (mod 14); otherwise the order-7 table refuses it
+    (InputError, from FieldContext.cofactor) before any work.
+    """
+    p = ctx.p
     cyc7 = cyclotomic_numbers(ctx, 7)
     dh7 = dickson_hurwitz(cyc7)
     sol = solution_from_tables(dh7)
@@ -199,8 +208,8 @@ class PrimeResult:
         )
 
 
-def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> PrimeResult:
-    """The result of p over the rows n = 1, *ns; n = 1 alone if ns is None.
+def run_prime(ctx: FieldContext, ns: tuple[int, ...] | None) -> PrimeResult:
+    """The result of ctx's prime over the rows n = 1, *ns; n = 1 alone if ns is None.
 
     Row 0 of every column is n = 1, which the classification reads; the
     other rows are the n in ns.  J(1,n)_49 is read off the order-49
@@ -211,10 +220,12 @@ def run_prime(p: int, gamma: int | None, ns: tuple[int, ...] | None) -> PrimeRes
     every cell of it, and of the order-7 table through the fold, is
     compared with the count; J(1,1)_49 is then read off the counted table,
     so at n = 1 the three paths compare two tables.  The identity suite
-    runs at every index pair of the factorial-built table.
+    runs at every index pair of the factorial-built table.  Each run
+    builds its own bundle (prepare_prime) and runs every check; the field
+    data it reads off ctx is computed by the first run on ctx alone.
     """
-    bundle = prepare_prime(p, gamma)
-    ctx, cyc49, dh49 = bundle.ctx, bundle.cyc49, bundle.dh49
+    bundle = prepare_prime(ctx)
+    p, cyc49, dh49 = ctx.p, bundle.cyc49, bundle.dh49
     sol, recon = bundle.sol, bundle.recon
     rows = (1,) if ns is None else (1, *ns)
 
@@ -293,7 +304,7 @@ def verify_prime(p: int, gamma: int | None = None,
     bad = [n for n in ns if not 1 <= n <= 48]
     if bad:
         raise InputError(f"n values out of range 1..48: {bad}")
-    return run_prime(p, gamma, ns).certificates()
+    return run_prime(build_ctx(p, gamma), ns).certificates()
 
 
 def classify_prime(p: int, gamma: int | None = None) -> Certificate:
@@ -305,4 +316,6 @@ def classify_prime(p: int, gamma: int | None = None) -> Certificate:
     the order-49 table, whose fold to order 7 is checked against the
     order-7 table; otherwise no pass over F_p is made.
     """
-    return run_prime(p, gamma, None).record()
+    if (p - 1) % 14 != 0:
+        raise InputError(f"p = {p} is not 1 (mod 14)")
+    return run_prime(build_ctx(p, gamma), None).record()

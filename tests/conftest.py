@@ -3,6 +3,7 @@ import pytest
 
 from jacobi49 import _kernels
 from jacobi49.cyclotomy import CycNumberTable, check_symmetries, cyclotomic_numbers
+from jacobi49.prime_field import build_ctx
 from jacobi49.verify import PrimeBundle, prepare_prime
 
 
@@ -42,7 +43,7 @@ def bundle():
     def get(p: int, gamma: int | None = None) -> PrimeBundle:
         key = (p, gamma)
         if key not in _BUNDLES:
-            _BUNDLES[key] = prepare_prime(p, gamma)
+            _BUNDLES[key] = prepare_prime(build_ctx(p, gamma))
         return _BUNDLES[key]
 
     return get

@@ -25,7 +25,7 @@ from jacobi49.cli import primes_in_range
 from jacobi49.congruence import coeffs_by_definition, s_direct, s_lemma
 from jacobi49.cyclotomy import cyclotomic_numbers, jacobi_from_cyc, identity_suite
 from jacobi49.order7 import norm_form
-from jacobi49.prime_field import find_generator, is_primitive_root
+from jacobi49.prime_field import build_ctx, find_generator, is_primitive_root
 from jacobi49.selfcheck import run_selfchecks
 from jacobi49.verify import prepare_prime, verify_prime
 from oracles import (cyc_from_jacobi, ind7_mod49_relation, ind7_muskat, index_of, orbit,
@@ -65,7 +65,7 @@ def sweep14():
     """Light per-prime data for every p = 1 (mod 14) below 10000."""
     if not _SWEEP14:
         for p in P14_10000:
-            b = prepare_prime(p)
+            b = prepare_prime(build_ctx(p))
             _SWEEP14[p] = {
                 "bundle": b,
                 "via_x": classify_via_x(b.sol),
@@ -96,11 +96,11 @@ def test_criterion_1_main_congruence(verified):
 def test_criterion_2_elementary_identity_suite():
     ok = True
     for p in (29, 43, 71, 113, 127):
-        fails = identity_suite(prepare_prime(p).cyc7)
+        fails = identity_suite(prepare_prime(build_ctx(p)).cyc7)
         if fails:
             ok = False
     for p in (197, 491):
-        if identity_suite(prepare_prime(p).cyc49):
+        if identity_suite(prepare_prime(build_ctx(p)).cyc49):
             ok = False
     report(2, ok, "orders 7 (5 primes) and 49 (2 primes), all pairs, "
                   "modulus check included")
@@ -110,14 +110,14 @@ def test_criterion_2_elementary_identity_suite():
 def test_criterion_3_fourier_duality():
     ok = True
     for p in (29, 113):
-        cyc = cyclotomic_numbers(prepare_prime(p).ctx, 7)
+        cyc = cyclotomic_numbers(prepare_prime(build_ctx(p)).ctx, 7)
         all_j = {(i, j): jacobi_from_cyc(cyc, i, j)
                  for i in range(7) for j in range(7)}
         for a in range(7):
             for b in range(7):
                 if cyc_from_jacobi(all_j, 7, a, b) != cyc.cell(a, b):
                     ok = False
-    cyc = cyclotomic_numbers(prepare_prime(197).ctx, 49)
+    cyc = cyclotomic_numbers(prepare_prime(build_ctx(197)).ctx, 49)
     all_j = {(i, j): jacobi_from_cyc(cyc, i, j)
              for i in range(49) for j in range(49)}
     cells = [(0, 0), (1, 1), (3, 5), (7, 0), (11, 40), (2, 2), (46, 3),
@@ -133,7 +133,7 @@ def test_criterion_3_fourier_duality():
 def test_criterion_4_s_cross_paths():
     ok = True
     for p in P49_5000:
-        b = prepare_prime(p)
+        b = prepare_prime(build_ctx(p))
         for n in range(1, 49):
             sd = s_direct(b.dh49, n)
             if math.gcd(n, 7) == 1:
@@ -217,7 +217,7 @@ def hunt_first_artiad_mod49(start=20000, stop=10**6, step=20000):
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
         for p in primes_in_range(lo + 1, hi, 49):
-            b = prepare_prime(p)
+            b = prepare_prime(build_ctx(p))
             if classify_via_x(b.sol):
                 return p
     return None
@@ -302,7 +302,7 @@ def test_criterion_8_artiad_simplified_form_as_stated(first_artiad):
     in place of the stated -4 ind7, while A and B hold as stated.
     """
     p = first_artiad
-    b = prepare_prime(p)
+    b = prepare_prime(build_ctx(p))
     cert = verify_prime(p, ns=(1,))[0]
     ev = cert.classification.evidence
     c6 = cert.coeffs["definition"]["c1_to_c6"][5]
@@ -354,7 +354,7 @@ def test_criterion_8_stated_t7_slip_all_generator_classes():
     failed = []
     # the list is complete: none lies below 20000 (criterion 8 structure)
     scanned = [p for p in primes_in_range(20001, ARTIAD_MOD49[-1], 49)
-               if classify_via_x(prepare_prime(p).sol)]
+               if classify_via_x(prepare_prime(build_ctx(p)).sol)]
     if tuple(scanned) != ARTIAD_MOD49:
         failed.append(("artiad primes = 1 (mod 49) in (20000, 126127]", scanned))
     for p in ARTIAD_MOD49:
@@ -372,7 +372,7 @@ def test_criterion_8_stated_t7_slip_all_generator_classes():
             classes.add(ind7)
             corrected = corrected_t7(c6, ind7, x5)
             stated = simplified_residue(c6, ind7, x5, hyper=False)
-            b = prepare_prime(p, gamma)
+            b = prepare_prime(build_ctx(p, gamma))
             coeffs1 = coeffs_by_definition(b.dh7, 1, s_value=s_direct(b.dh49, 1))
             conditions = artiad_conditions(coeffs1, b.sol, ind7, p)
             if not (cert.match and cert.classification.kind == "artiad"

@@ -496,6 +496,35 @@ def test_scan_unwritable_output(capsys, kernel_calls):
     assert sum(kernel_calls.values()) == 0, kernel_calls
 
 
+@pytest.mark.parametrize("task", [(197, True, "json"), (60271, False, "csv"),
+                                  (43, False, "json")])
+def test_scan_one_computes_the_field_data_once(monkeypatch, kernel_calls, task):
+    # classify and verify of a scanned prime share one context: one
+    # generator search, one Stickelberger product and, at p = 1 (mod 49),
+    # one factorial product, one class table and its one pair count
+    from jacobi49 import prime_field, stickelberger
+
+    calls = {"generator": 0, "jacobi_sums": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(prime_field, "_smallest_generator",
+                        counting("generator", prime_field._smallest_generator))
+    monkeypatch.setattr(stickelberger, "jacobi_sums",
+                        counting("jacobi_sums", stickelberger.jacobi_sums))
+    summary, _ = cli._scan_one(task)
+    assert summary[2] == []
+    passes = int(task[0] % 49 == 1)
+    assert kernel_calls == {"factorials": passes, "index_table": passes,
+                            "pair_counts": passes, "power_pair_hist": 0,
+                            "power_pair_hist_variant": 0, "cubic_roots": 0}
+    assert calls == {"generator": 1, "jacobi_sums": 1}
+
+
 def _failing_scan_one(task):
     raise InputError(f"injected failure at p = {task[0]}")
 

@@ -387,7 +387,7 @@ def test_stickelberger_builds_the_order7_table_at_p_1_mod_49(monkeypatch, p):
         return real(*args)
 
     monkeypatch.setattr(stickelberger, "jacobi_sums", counting)
-    bundle = prepare_prime(p)
+    bundle = prepare_prime(build_ctx(p))
     assert calls == [(p, bundle.ctx.gamma)]
 
 
@@ -411,6 +411,13 @@ def test_bad_class_rejected_before_the_table(kernel_calls, capsys):
     assert sum(kernel_calls.values()) == 0, kernel_calls
     assert main(["classify", "--prime", "9999973"]) == 2
     assert "not 1 (mod 14)" in capsys.readouterr().err
+    assert sum(kernel_calls.values()) == 0, kernel_calls
+
+
+def test_bundle_of_a_bad_class_refused_before_the_table(kernel_calls):
+    # a context of p = 23, not 1 (mod 14), has no order-7 table to build
+    with pytest.raises(InputError, match="7 does not divide m"):
+        prepare_prime(build_ctx(23))
     assert sum(kernel_calls.values()) == 0, kernel_calls
 
 
@@ -456,8 +463,20 @@ def test_one_result_holds_the_classification_record(p):
     # check passes.  Where a check only verify makes fails (the direct pair
     # count, its fold, the identity suite), whether the record carries its
     # text is for that change to decide.
-    record = verify.run_prime(p, None, verify.ALL_N).record()
+    record = verify.run_prime(build_ctx(p), verify.ALL_N).record()
     assert record.to_json() == classify_prime(p).to_json()
+
+
+@pytest.mark.parametrize("p,second", [(197, False), (491, False), (60271, False),
+                                      (1000679, False), (60271, True), (1000679, True)])
+def test_one_context_serves_classify_and_verify(p, second):
+    # A scan runs classify and then verify on one context: its records are
+    # classify_prime's and verify_prime's, each of which builds its own.
+    gamma = second_generator(p) if second else None
+    ctx = build_ctx(p, gamma)
+    assert verify.run_prime(ctx, None).record().to_json() == classify_prime(p, gamma).to_json()
+    assert ([c.to_json() for c in verify.run_prime(ctx, verify.ALL_N).certificates()]
+            == [c.to_json() for c in verify_prime(p, gamma)])
 
 
 def test_certificates_share_the_per_prime_block():
@@ -471,7 +490,7 @@ def test_records_declare_their_json_once():
     # each record's JSON holds its own fields, in declaration order, and is a
     # copy: changing it leaves the record as it was
     cert = verify_prime(197, ns=(1,))[0]
-    bundle = prepare_prime(197)
+    bundle = prepare_prime(build_ctx(197))
     for record in (cert, cert.classification.evidence, bundle.dio, bundle.recon):
         names = [f.name for f in dataclasses.fields(record)]
         assert list(record.to_json()) == names, type(record)
